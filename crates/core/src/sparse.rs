@@ -364,37 +364,6 @@ impl<T> SparseSlab<T> {
         })
     }
 
-    /// Removes and returns every entry with index in `range`, in
-    /// ascending index order. Only blocks overlapping the range are
-    /// visited, so draining a cold range is O(blocks in range).
-    pub fn drain_range(&mut self, range: std::ops::Range<usize>) -> Vec<(usize, T)> {
-        let mut out = Vec::new();
-        if range.start >= range.end || self.blocks.is_empty() {
-            return out;
-        }
-        let b0 = range.start >> 6;
-        let b1 = ((range.end - 1) >> 6).min(self.blocks.len() - 1);
-        for b in b0..=b1 {
-            let base = b << 6;
-            let lo = range.start.max(base) - base;
-            let hi = range.end.min(base + 64) - base;
-            let window = if hi - lo == 64 {
-                u64::MAX
-            } else {
-                ((1u64 << (hi - lo)) - 1) << lo
-            };
-            let mut bits = self.blocks[b].mask & window;
-            while bits != 0 {
-                let off = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if let Some(v) = self.remove(base + off) {
-                    out.push((base + off, v));
-                }
-            }
-        }
-        out
-    }
-
     /// Drops every entry and releases all block storage, including the
     /// block directory itself; capacity is unchanged.
     pub fn clear(&mut self) {
@@ -549,28 +518,6 @@ mod tests {
             residual,
             slab.blocks.capacity() * std::mem::size_of::<Block<u64>>()
         );
-    }
-
-    #[test]
-    fn drain_range_is_ascending_and_reinsertable() {
-        let mut slab = SparseSlab::new(300);
-        for idx in (0..300).step_by(7) {
-            slab.insert(idx, idx as u64);
-        }
-        let before: Vec<(usize, u64)> = slab.iter().map(|(i, v)| (i, *v)).collect();
-        let drained = slab.drain_range(100..250);
-        assert!(drained.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(drained.iter().all(|&(i, _)| (100..250).contains(&i)));
-        assert!(slab.iter().all(|(i, _)| !(100..250).contains(&i)));
-        for (i, v) in drained {
-            slab.insert(i, v);
-        }
-        let after: Vec<(usize, u64)> = slab.iter().map(|(i, v)| (i, *v)).collect();
-        assert_eq!(before, after);
-        // Ranges past the allocated blocks are a no-op.
-        assert!(slab.drain_range(10_000..20_000).is_empty());
-        let empty: Vec<(usize, u64)> = Vec::new();
-        assert_eq!(slab.drain_range(5..5), empty);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! Checkpoints are taken **only at epoch cuts** (positions in the global
 //! access stream that are multiples of the epoch length, vacuously any
 //! inter-batch position when no epoch clock is configured), with the
-//! staging buffer empty. Between batches the system owns all of its
-//! banks — the pool's loan/reclaim protocol has completed — so a cut
+//! staging buffer empty. Worker threads hold engines only inside a batch
+//! call, so between batches every engine is back in the system and a cut
 //! image is consistent by construction, with no quiescing machinery.
 //!
 //! Decode is hardened like [`crate::wire`]: magic + version + scope are
@@ -55,8 +55,10 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CATC";
 /// Version 2 added the owned [`crate::GeometrySlice`] (start bank + bank
 /// count) to the system section, so a fleet backend's image is pinned to
 /// its slice and cannot be restored into a backend serving a different
-/// partition.
-pub const CHECKPOINT_VERSION: u16 = 2;
+/// partition. Version 3 dropped the system section's activation-scratch
+/// capacity: sharded batches no longer keep system-wide scratch, so the
+/// image no longer depends on the shard count.
+pub const CHECKPOINT_VERSION: u16 = 3;
 
 /// Hard cap on a checkpoint image/file size — bounds what [`resume_from_dir`]
 /// will read into memory.
@@ -578,7 +580,6 @@ fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> 
     put_epoch_len(out, s.epoch_len);
     put_u64(out, s.accesses);
     put_u64(out, s.epochs);
-    put_u64(out, s.act_scratch.capacity() as u64);
     put_u64(out, s.staged.capacity() as u64);
     put_u32(out, s.engines.len() as u32);
     for engine in &s.engines {
@@ -635,8 +636,6 @@ fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Re
             "checkpoint position {accesses} is not an epoch cut of {epoch_len:?}"
         )));
     }
-    let act_scratch = read_scratch_cap(r, "system act_scratch capacity")?;
-    s.act_scratch.reserve_exact(act_scratch);
     let staged = read_scratch_cap(r, "staging buffer capacity")?;
     s.staged.reserve_exact(staged);
     let engines = r.u32("engine count")? as usize;
@@ -1347,6 +1346,29 @@ mod tests {
         assert!(err.to_string().contains("MemorySystem"));
     }
 
+    #[test]
+    fn images_of_other_versions_are_refused() {
+        // A version-2 image carried a system act_scratch capacity that a
+        // version-3 reader would misparse: the header check refuses it
+        // with a typed error before any field is read, even under a valid
+        // seal.
+        let mut original = fresh();
+        original.process(&trace(2000));
+        let mut image = original.checkpoint().unwrap();
+        assert_eq!(&image[4..6], &CHECKPOINT_VERSION.to_le_bytes());
+        image[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let body_len = image.len() - 8;
+        let h = fnv1a(&image[..body_len]).to_le_bytes();
+        image[body_len..].copy_from_slice(&h);
+        let err = fresh().restore(&image).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("checkpoint version 2, this build reads 3"),
+            "{err}"
+        );
+    }
+
     /// Deterministic LCG for the corruption sweeps (no external RNG and no
     /// wall-clock seeding in tests either).
     struct Lcg(u64);
@@ -1438,7 +1460,7 @@ mod tests {
         // the forged offsets stay correct if the layout ever shifts.
         let mut r = ByteReader::new(&image[..body_len]);
         read_header(&mut r, SCOPE_SYSTEM).unwrap();
-        let sys_fixed = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 8 + 4; // geometry..engine count
+        let sys_fixed = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 4; // geometry..engine count
         r.take(sys_fixed, "system fields").unwrap();
         let spec_len = usize::from(r.u16("spec length").unwrap());
         let eng_fixed = spec_len + 12 + 9 + 16; // spec..epoch count

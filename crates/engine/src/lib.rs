@@ -13,32 +13,28 @@
 //! Schemes are held as [`SchemeInstance`] values (enum static dispatch, no
 //! per-activation virtual call) built from a [`SchemeSpec`].
 //!
-//! ## The three execution paths
+//! ## The two execution paths
 //!
-//! Every batch reaches the banks through one of three paths, all
-//! bit-identical by the determinism contract below:
+//! Every batch reaches the banks through one of two paths, bit-identical
+//! by the determinism contract below:
 //!
 //! * **flat** — [`BankEngine::process`]: one engine over all banks,
 //!   sequential in the calling thread. The reference semantics.
-//! * **routed** — [`MemorySystem::process`] with one shard (the default):
-//!   the batch is scattered once into per-channel sub-batches, the epoch
-//!   boundary positions are recorded per channel as *cut lists*, and each
-//!   channel engine replays its whole sub-batch in one
-//!   [`BankEngine::process_with_cuts`] call — banks are visited once per
-//!   batch, never once per epoch segment.
-//! * **pooled** — [`BankEngine::process_sharded`] or
-//!   [`MemorySystem::with_shards`]: banks are partitioned into contiguous
-//!   shards and replayed bank-by-bank on a persistent worker pool. At
-//!   system scope the pool is **shared across channels** (shards span the
-//!   global bank range), so independent channels overlap on the same
-//!   worker threads; the banks are loaned to the pool once per batch and
-//!   the workers fire the epoch cuts themselves.
+//! * **routed** — [`MemorySystem::process`]: the batch is scattered once
+//!   into per-engine sub-batches (one engine per channel by default, one
+//!   per slice of a [`Partition`]), the epoch boundary positions are
+//!   recorded per engine as *cut lists*, and each engine replays its
+//!   whole sub-batch in one [`BankEngine::process_with_cuts`] call —
+//!   banks are visited once per batch, never once per epoch segment.
+//!   With [`MemorySystem::with_shards`] groups of engines make those
+//!   calls on persistent worker threads; the calls themselves do not
+//!   change.
 //!
 //! Single-access callers with their own epoch clock (the cycle-based
 //! timing simulator) use [`BankEngine::activate`] /
 //! [`MemorySystem::activate_global`] plus `end_epoch` instead; streaming
 //! callers stage accesses through [`MemorySystem::push`] and get the
-//! routed/pooled path on every flush. Remote producers stream
+//! routed path on every flush. Remote producers stream
 //! [`wire`]-framed record batches over a socket into the [`ingest`]
 //! layer's deterministic multi-producer merge (the `catd` server), which
 //! feeds the same staging buffer — producer count and arrival
@@ -48,27 +44,27 @@
 //!
 //! Spelled out with the invariants in `DESIGN.md §7`; the short form:
 //!
-//! [`BankEngine::process_sharded`] partitions **banks** (never per-bank
-//! order) into contiguous shards and replays each shard's banks on its own
-//! long-lived worker thread, bank by bank. Because
+//! [`MemorySystem`] partitions **banks** (never per-bank order) into
+//! contiguous engine slices and replays each slice on one thread per
+//! batch. Because
 //!
-//! 1. every scheme instance is per-bank state touched by exactly one shard,
+//! 1. every scheme instance is per-bank state touched by exactly one
+//!    engine,
 //! 2. each bank replays its own activations in original stream order
 //!    (schemes never observe other banks' activations, so the inter-bank
 //!    interleaving is immaterial),
 //! 3. epoch boundaries are positions in the *global* access stream, applied
 //!    to each bank at the same point of its own activation subsequence
-//!    regardless of sharding, and
+//!    regardless of the engine split, and
 //! 4. PRA draws from a per-bank PRNG seeded from `(base seed, bank index)`,
 //!    where the bank index is the engine's
 //!    [`bank base`](BankEngine::with_bank_base) plus the local index — so a
-//!    bank keeps its seed no matter which channel engine it lands in,
+//!    bank keeps its seed no matter which engine it lands in,
 //!
 //! the resulting [`SchemeStats`] — aggregated in bank order — are
-//! **bit-identical for every shard count**, including the unsharded
-//! [`BankEngine::process`] path and the [`MemorySystem`] per-channel
-//! routing. The equivalence is asserted for every [`SchemeSpec`] variant by
-//! `tests/equivalence.rs`.
+//! **bit-identical for every engine split and shard count**, including
+//! the flat [`BankEngine::process`] path. The equivalence is asserted for
+//! every [`SchemeSpec`] variant by `tests/equivalence.rs`.
 //!
 //! ## Batching rationale
 //!
@@ -80,14 +76,6 @@
 //! (the cycle-based timing simulator) use [`BankEngine::activate`] instead.
 //! Bank ids are full `u32`s: the decode front-end never narrows them, so
 //! geometries beyond 65 536 banks route correctly.
-//!
-//! ## Worker pool
-//!
-//! Sharded processing runs on a persistent pool of shard threads (see
-//! [`pool`](self)) spawned once per engine lifetime and fed sub-batches
-//! over channels — the first implementation spawned scoped threads per
-//! cache-sized sub-batch, which cost enough that 4 shards lost to 2 on
-//! multi-million-access replays.
 //!
 //! ```
 //! use cat_engine::BankEngine;
@@ -109,7 +97,6 @@
 mod address;
 pub mod checkpoint;
 pub mod ingest;
-mod pool;
 pub mod router;
 mod sparse;
 mod system;
@@ -122,7 +109,6 @@ pub use address::{
 pub use system::MemorySystem;
 
 use cat_core::{Refreshes, RowId, SchemeInstance, SchemeSpec, SchemeStats, SparseSlab};
-use pool::ShardPool;
 use sparse::SparseBanks;
 
 /// Computes the epoch **cut positions** inside a batch of `len` accesses:
@@ -130,11 +116,10 @@ use sparse::SparseBanks;
 /// global epoch boundary falls" (`on_epoch_end` fires there). Positions are
 /// strictly increasing, in `1..=len`; `cuts` is cleared first.
 ///
-/// This is *the* epoch-phase arithmetic — the flat batched path, the
-/// sharded scatter and the [`MemorySystem`] router all derive their cut
-/// lists here, so the paths cannot drift apart (their bit-identical
-/// equivalence depends on agreeing about boundary positions, see
-/// `DESIGN.md §7`).
+/// This is *the* epoch-phase arithmetic — the flat batched path and the
+/// [`MemorySystem`] scatter both derive their cut lists here, so the
+/// paths cannot drift apart (their bit-identical equivalence depends on
+/// agreeing about boundary positions, see `DESIGN.md §7`).
 pub(crate) fn epoch_cuts(
     len: usize,
     accesses_so_far: u64,
@@ -229,9 +214,9 @@ pub struct EngineFootprint {
     pub scheme_bytes: usize,
     /// Resident bytes of everything execution-strategy-dependent: the
     /// sparse containers' own block storage, per-bank activation
-    /// counters, and the pooled path's scatter scratch. Depends on the
-    /// engine split and shard count, so it stays out of the wire
-    /// snapshot.
+    /// counters, and the batch path's scatter scratch. Depends on the
+    /// engine split (never on the shard count), so it stays out of the
+    /// wire snapshot.
     pub accounting_bytes: usize,
 }
 
@@ -289,9 +274,10 @@ impl EngineReport {
     }
 }
 
-/// A multi-bank mitigation engine: one [`SchemeInstance`] per bank,
-/// batched activation processing with epoch accounting, and a deterministic
-/// bank-sharded runner on a persistent worker pool.
+/// A multi-bank mitigation engine: one [`SchemeInstance`] per bank and
+/// batched activation processing with epoch accounting. Parallelism lives
+/// one level up: [`MemorySystem::with_shards`] replays whole engines on
+/// worker threads.
 ///
 /// Bank storage is **sparse and lazily materialized** (`DESIGN.md §10`): a
 /// bank's scheme instance is built from the spec on the bank's first
@@ -302,30 +288,25 @@ pub struct BankEngine {
     /// Per-bank row-activation counters, sparse like the scheme storage
     /// (an absent entry is a bank that was never activated).
     pub(crate) activations: SparseSlab<u64>,
-    /// Dense scatter scratch loaned to the pooled path's counting sort,
-    /// allocated lazily on the first sharded batch; the flat batch path
-    /// reuses it as its per-segment bank counts.
+    /// Per-segment bank counts of the batch path's counting sort,
+    /// allocated lazily on the first batch: dense by design, but written
+    /// only at touched banks.
     pub(crate) act_scratch: Vec<u64>,
-    /// Counting-sort cursors for the flat batch path's per-segment
-    /// scatter, allocated lazily on the first flat batch. Scratch like
-    /// `act_scratch`: dense by design, but written only at touched banks.
+    /// Counting-sort cursors for the batch path's per-segment scatter,
+    /// allocated lazily on the first batch. Scratch like `act_scratch`.
     pub(crate) seg_cursor: Vec<u32>,
     /// Banks touched in the current flat segment, in first-touch order —
     /// lets the scatter reset only what it dirtied (O(touched), not
     /// O(banks)).
     pub(crate) touched: Vec<u32>,
-    /// Row scatter buffer of the flat batch path (one slot per access of
-    /// the current segment).
+    /// Row scatter buffer of the batch path (one slot per access of the
+    /// current segment).
     pub(crate) row_scratch: Vec<u32>,
     pub(crate) accesses: u64,
     pub(crate) epochs: u64,
     /// Accesses per auto-refresh epoch; `None` disables access-count epoch
     /// accounting (the timed simulator fires epochs by cycle count instead).
     pub(crate) epoch_len: Option<u64>,
-    /// Persistent shard workers, spawned lazily on the first sharded batch
-    /// and kept for the engine's lifetime (rebuilt only if the shard count
-    /// changes).
-    pool: Option<ShardPool>,
 }
 
 impl BankEngine {
@@ -366,7 +347,6 @@ impl BankEngine {
             accesses: 0,
             epochs: 0,
             epoch_len: None,
-            pool: None,
         }
     }
 
@@ -478,7 +458,7 @@ impl BankEngine {
     /// Cheap (O(materialized banks)); differencing two snapshots gives a
     /// batch's outcome without putting any accounting in the
     /// per-activation loop.
-    pub(crate) fn refresh_totals(&self) -> (u64, u64) {
+    fn refresh_totals(&self) -> (u64, u64) {
         let mut events = 0u64;
         let mut rows = 0u64;
         for (_, s) in self.banks.iter() {
@@ -553,8 +533,7 @@ impl BankEngine {
     /// [`process_with_cuts`](Self::process_with_cuts): per segment, a
     /// counting-sort scatter of the accesses by bank, then each touched
     /// bank replays its whole subsequence through one monomorphic
-    /// [`SchemeInstance::run`] loop — the same replay shape the shard
-    /// workers use, minus the threads. Schemes never observe other banks'
+    /// [`SchemeInstance::run`] loop. Schemes never observe other banks'
     /// activations (the determinism contract, `DESIGN.md §7`), so the
     /// replay is bit-identical to interleaved per-access dispatch while
     /// paying the bank lookup once per touched bank per segment instead
@@ -628,133 +607,6 @@ impl BankEngine {
             refresh_events: events - events_before,
             refreshed_rows: rows - rows_before,
         }
-    }
-
-    /// Processes a batch like [`process`](Self::process), but partitioned
-    /// per bank and replayed bank-by-bank on `shards` persistent worker
-    /// threads (each owns a contiguous range of banks; threads are spawned
-    /// once and fed sub-batches over channels). Results are bit-identical
-    /// to the sequential path for every shard count (see the crate-level
-    /// determinism contract).
-    ///
-    /// Beyond the thread-level parallelism, the per-bank replay is also the
-    /// fastest sequential path: each bank's activations run through one
-    /// monomorphic [`SchemeInstance::run`] loop (no per-access dispatch)
-    /// with that bank's counter state hot in cache.
-    ///
-    /// `shards` is clamped to `1..=bank_count`; changing the count between
-    /// calls rebuilds the pool (the only time threads respawn).
-    ///
-    /// ```
-    /// use cat_core::SchemeSpec;
-    /// use cat_engine::BankEngine;
-    ///
-    /// let spec = SchemeSpec::Drcat { counters: 64, levels: 11, threshold: 256 };
-    /// let batch: Vec<(u32, u32)> = (0..40_000).map(|i| (i % 8, i / 13 % 4096)).collect();
-    /// let mut flat = BankEngine::new(spec, 8, 4096).with_epoch_length(9_000);
-    /// let mut sharded = BankEngine::new(spec, 8, 4096).with_epoch_length(9_000);
-    /// flat.process(&batch);
-    /// sharded.process_sharded(&batch, 4);
-    /// assert_eq!(sharded.stats(), flat.stats()); // bit-identical, any shard count
-    /// ```
-    pub fn process_sharded(&mut self, batch: &[(u32, u32)], shards: usize) -> BatchOutcome {
-        let mut cuts = Vec::new();
-        epoch_cuts(batch.len(), self.accesses, self.epoch_len, &mut cuts);
-        self.run_sharded(batch, &cuts, shards)
-    }
-
-    /// [`process_sharded`](Self::process_sharded) with caller-dictated
-    /// epoch boundaries — the sharded counterpart of
-    /// [`process_with_cuts`](Self::process_with_cuts). The banks are loaned
-    /// to the worker pool **once for the whole batch**; the workers fire
-    /// each bank's `on_epoch_end`s at the recorded positions of its own
-    /// subsequence, so small epochs no longer drain the pool pipeline per
-    /// segment (`DESIGN.md §7`).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`process_with_cuts`](Self::process_with_cuts).
-    pub fn process_sharded_with_cuts(
-        &mut self,
-        batch: &[(u32, u32)],
-        cuts: &[usize],
-        shards: usize,
-    ) -> BatchOutcome {
-        assert!(
-            self.epoch_len.is_none(),
-            "BankEngine::process_sharded_with_cuts cannot be mixed with access-count \
-             epoch accounting (with_epoch_length): the engine would fire each boundary twice"
-        );
-        validate_cuts(cuts, batch.len());
-        self.run_sharded(batch, cuts, shards)
-    }
-
-    /// The shared pool-backed core of the sharded entry points: ensures the
-    /// pool, loans the banks once, replays the whole batch (the pool chunks
-    /// it into cache-sized sub-batches internally), reclaims.
-    fn run_sharded(&mut self, batch: &[(u32, u32)], cuts: &[usize], shards: usize) -> BatchOutcome {
-        let (events_before, rows_before) = self.refresh_totals();
-        let nbanks = self.banks.capacity().max(1);
-        let shards = shards.clamp(1, nbanks);
-        if self.pool.as_ref().map(ShardPool::shards) != Some(shards) {
-            self.pool = Some(ShardPool::new(shards, nbanks));
-        }
-        let mut pool = self.pool.take().expect("pool just ensured");
-        for w in 0..pool.shards() {
-            let range = pool.shard_range(w);
-            let range =
-                range.start.min(self.banks.capacity())..range.end.min(self.banks.capacity());
-            pool.loan_shard(w, self.banks.take_range(range));
-        }
-        if self.act_scratch.len() < nbanks {
-            self.act_scratch.resize(nbanks, 0);
-        }
-        self.act_scratch[..nbanks].fill(0);
-        pool.run_batch(batch, cuts, &mut self.act_scratch[..nbanks]);
-        for w in 0..pool.shards() {
-            let start = pool.shard_range(w).start.min(self.banks.capacity());
-            self.banks.absorb(start, pool.reclaim_shard(w));
-        }
-        self.pool = Some(pool);
-        for (bank, &count) in self.act_scratch[..nbanks].iter().enumerate() {
-            if count > 0 {
-                *self.activations.get_or_insert_with(bank, u64::default) += count;
-            }
-        }
-        self.accesses += batch.len() as u64;
-        self.epochs += cuts.len() as u64;
-        let (events, rows) = self.refresh_totals();
-        BatchOutcome {
-            accesses: batch.len() as u64,
-            epochs: cuts.len() as u64,
-            refresh_events: events - events_before,
-            refreshed_rows: rows - rows_before,
-        }
-    }
-
-    /// Hands the per-bank scheme storage to [`MemorySystem`]'s shared pool
-    /// for the duration of one batch (the system-level counterpart of the
-    /// loan/reclaim protocol in [`pool`](self)).
-    pub(crate) fn banks_mut(&mut self) -> &mut SparseBanks {
-        &mut self.banks
-    }
-
-    /// Folds the per-bank activation counts and epoch count of one
-    /// system-pooled batch into this engine's accounting ([`MemorySystem`]
-    /// drives the banks directly through the shared pool, bypassing the
-    /// per-engine batch paths).
-    pub(crate) fn absorb_pooled_batch(&mut self, counts: &[u64], epochs: u64) {
-        debug_assert_eq!(counts.len(), self.banks.capacity());
-        let mut total = 0u64;
-        for (bank, &count) in counts.iter().enumerate() {
-            if count > 0 {
-                *self.activations.get_or_insert_with(bank, u64::default) += count;
-                total += count;
-            }
-        }
-        self.accesses += total;
-        self.epochs += epochs;
     }
 
     /// Scheme statistics aggregated across banks, in ascending bank order.
@@ -875,6 +727,21 @@ mod tests {
         assert!(out.refresh_events > 0);
     }
 
+    /// A one-channel, 8-bank system with one engine per bank, so every
+    /// shard count up to 8 gets groups of its own.
+    fn one_engine_per_bank(spec: SchemeSpec, epoch: u64) -> MemorySystem {
+        let geometry = MemGeometry {
+            channels: 1,
+            ranks_per_channel: 1,
+            banks_per_rank: 8,
+            rows_per_bank: 4096,
+            lines_per_row: 16,
+            line_bytes: 64,
+        };
+        let partition = Partition::uniform(geometry, 8).expect("8 one-bank slices");
+        MemorySystem::partitioned(&partition, spec).with_epoch_length(epoch)
+    }
+
     #[test]
     fn sharded_equals_sequential_here_too() {
         // The exhaustive per-spec sweep lives in tests/equivalence.rs; this
@@ -888,8 +755,8 @@ mod tests {
         let mut seq = BankEngine::new(spec, 8, 4096).with_epoch_length(7_000);
         seq.process(&trace);
         for shards in [1, 2, 4, 8, 64] {
-            let mut sharded = BankEngine::new(spec, 8, 4096).with_epoch_length(7_000);
-            sharded.process_sharded(&trace, shards);
+            let mut sharded = one_engine_per_bank(spec, 7_000).with_shards(shards);
+            sharded.process(&trace);
             assert_eq!(sharded.stats(), seq.stats(), "{shards} shards");
             assert_eq!(sharded.per_bank_stats(), seq.per_bank_stats());
             assert_eq!(sharded.activations_per_bank(), seq.activations_per_bank());
@@ -901,8 +768,8 @@ mod tests {
 
     #[test]
     fn pool_survives_shard_count_changes() {
-        // The persistent pool is rebuilt when the shard count changes and
-        // keeps producing sequential-identical results either way.
+        // Changing the shard count between batches replaces the worker
+        // threads and keeps producing sequential-identical results.
         let spec = SchemeSpec::Sca {
             counters: 16,
             threshold: 128,
@@ -910,13 +777,14 @@ mod tests {
         let trace = batch(30_000, 8);
         let mut seq = BankEngine::new(spec, 8, 4096).with_epoch_length(4_000);
         seq.process(&trace);
-        let mut pooled = BankEngine::new(spec, 8, 4096).with_epoch_length(4_000);
+        let mut sharded = one_engine_per_bank(spec, 4_000);
         for (chunk, shards) in trace.chunks(10_000).zip([2usize, 4, 2]) {
-            pooled.process_sharded(chunk, shards);
+            sharded = sharded.with_shards(shards);
+            sharded.process(chunk);
         }
-        assert_eq!(pooled.stats(), seq.stats());
-        assert_eq!(pooled.epochs(), seq.epochs());
-        assert_eq!(pooled.activations_per_bank(), seq.activations_per_bank());
+        assert_eq!(sharded.stats(), seq.stats());
+        assert_eq!(sharded.epochs(), seq.epochs());
+        assert_eq!(sharded.activations_per_bank(), seq.activations_per_bank());
     }
 
     #[test]

@@ -12,51 +12,58 @@
 //! ## Batch datapath
 //!
 //! Every batch (explicit via [`MemorySystem::process`], or an internal
-//! flush of the staging buffer behind [`MemorySystem::push`]) takes the
-//! **cut-aware** path: the epoch boundary positions inside the batch are
-//! computed once up front (`crate::epoch_cuts`), and the whole batch is
-//! then handed over in one piece —
+//! flush of the staging buffer behind [`MemorySystem::push`]) takes one
+//! **cut-aware routed** path: the epoch boundary positions inside the
+//! batch are computed once up front (`crate::epoch_cuts`), one stable
+//! scatter splits the batch into per-engine sub-batches and records each
+//! engine's cut positions along the way, and each engine then replays its
+//! whole sub-batch in one [`BankEngine::process_with_cuts`] call — an
+//! engine's banks are visited once per batch, never once per epoch
+//! segment. The scatter is O(batch + engines): no per-bank pass.
 //!
-//! * **routed** (`shards == 1`): one stable scatter into per-channel
-//!   sub-batches, each channel's cut positions recorded along the way, then
-//!   one [`BankEngine::process_with_cuts`] call per channel — each
-//!   channel's banks are visited once per batch, never once per epoch
-//!   segment;
-//! * **pooled** (`shards > 1`): every channel's banks are loaned to **one
-//!   shared worker pool** whose shards span all channels, the batch is
-//!   scattered by global bank, and the workers fire the epoch cuts
-//!   themselves — independent channels proceed concurrently on the same
-//!   `shards` threads.
+//! [`with_shards`](MemorySystem::with_shards) changes only *who* makes
+//! those engine calls. The engines are split into `min(shards, engines)`
+//! contiguous groups; each batch moves every busy group but the last,
+//! engines by value, into that group's persistent worker thread and takes
+//! them back when the worker is done. The caller replays the last busy
+//! group itself, so a batch that touches a single group wakes no thread. A group is the unit of
+//! parallelism, so finer parallelism than one engine per channel comes
+//! from an engine layout with more slices
+//! ([`partitioned`](MemorySystem::partitioned)), not from more shards.
 //!
 //! ## Equivalence
 //!
-//! Routing through per-channel engines — serial, pooled, or streaming — is
-//! bit-identical to one system-wide engine (asserted by
-//! `tests/equivalence.rs`; the invariants are spelled out in
+//! Routing through per-slice engines — on the calling thread, on
+//! workers, or streaming — is bit-identical to one system-wide engine
+//! (asserted by `tests/equivalence.rs`; the invariants are spelled out in
 //! `DESIGN.md §7`):
 //!
-//! * the global bank order is channel-major, so per-channel engines with a
+//! * the global bank order is slice-major, so per-slice engines with a
 //!   [bank base](BankEngine::with_bank_base) hold exactly the banks (and
 //!   PRA seeds) of the flat engine's contiguous ranges;
 //! * per-bank access order is preserved by the stable scatter;
 //! * epoch boundaries are positions in the *system-wide* access stream:
 //!   the cut list is computed once per batch and every bank receives
 //!   `on_epoch_end` at the same point of its own subsequence, whichever
-//!   path replays it.
+//!   thread replays it;
+//! * every engine gets the same calls for every shard count, so state,
+//!   footprint and checkpoint image do not depend on it either.
+
+use std::ops::Range;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
 
 use cat_core::{Refreshes, SchemeInstance, SchemeSpec, SchemeStats};
 
 use crate::ingest::{IngestConsumer, IngestEvent};
-use crate::pool::ShardPool;
-use crate::sparse::SparseBanks;
 use crate::{
     epoch_cuts, AddressMapping, BankEngine, BatchOutcome, EngineFootprint, EngineReport,
     GeometrySlice, MemGeometry, Partition,
 };
 
 /// A whole memory system: address decode, per-channel [`BankEngine`]s,
-/// global epoch accounting, streaming ingestion, and an optional shared
-/// worker pool overlapping the channels.
+/// global epoch accounting, streaming ingestion, and optional worker
+/// threads replaying groups of engines in parallel.
 ///
 /// ```
 /// use cat_core::SchemeSpec;
@@ -101,26 +108,15 @@ pub struct MemorySystem {
     pub(crate) epoch_len: Option<u64>,
     pub(crate) accesses: u64,
     pub(crate) epochs: u64,
-    shards: usize,
-    /// Shared worker pool for the pooled path (spawned lazily on the first
-    /// `shards > 1` batch; its shards span all channels' banks).
-    pool: Option<ShardPool>,
-    /// Per-channel scatter buffers, reused across batches (routed path).
+    /// The contiguous engine groups of [`with_shards`](Self::with_shards),
+    /// in engine order (one group of every engine by default).
+    groups: Vec<Group>,
+    /// Per-engine scatter buffers, reused across batches.
     route: Vec<Vec<(u32, u32)>>,
-    /// Per-channel epoch cut positions, parallel to `route`.
+    /// Per-engine epoch cut positions, parallel to `route`.
     route_cuts: Vec<Vec<usize>>,
     /// Global cut-position scratch, reused across batches.
     cut_scratch: Vec<usize>,
-    /// Rebase scratch of the pooled path for slice-owning systems: the
-    /// shared pool scatters by owned-range offset, so a nonzero slice
-    /// base rebases the batch once per run (empty and unused otherwise).
-    pool_rebase: Vec<(u32, u32)>,
-    /// Per-batch activation counts for the pooled path (one slot per
-    /// global bank), folded back into the channel engines after each
-    /// batch. Allocated lazily on the first pooled batch, so a system
-    /// that never shards — the huge-geometry configurations — pays
-    /// nothing for it.
-    pub(crate) act_scratch: Vec<u64>,
     /// Streaming staging buffer (decoded, not yet processed accesses).
     pub(crate) staged: Vec<(u32, u32)>,
     /// Staging capacity at which `push` flushes automatically.
@@ -225,6 +221,7 @@ impl MemorySystem {
             .then(|| size.trailing_zeros());
         let route = engine_slices.iter().map(|_| Vec::new()).collect();
         let route_cuts = engine_slices.iter().map(|_| Vec::new()).collect();
+        let groups = vec![Group::new(0..engines.len())];
         MemorySystem {
             geometry,
             spec,
@@ -236,13 +233,10 @@ impl MemorySystem {
             epoch_len: None,
             accesses: 0,
             epochs: 0,
-            shards: 1,
-            pool: None,
+            groups,
             route,
             route_cuts,
             cut_scratch: Vec::new(),
-            pool_rebase: Vec::new(),
-            act_scratch: Vec::new(),
             staged: Vec::new(),
             stream_capacity: Self::DEFAULT_STREAM_CAPACITY,
             staged_outcome: BatchOutcome::default(),
@@ -261,19 +255,24 @@ impl MemorySystem {
         self
     }
 
-    /// Runs batches on `shards` persistent worker threads **shared by all
-    /// channels** (1 = sequential in the calling thread, the default).
-    /// Results are bit-identical for every shard count.
+    /// Replays batches on up to `shards` threads (1 = everything on the
+    /// calling thread, the default). Results, footprints and checkpoint
+    /// images are bit-identical for every shard count.
     ///
-    /// The pool's shards partition the *global* bank range, so independent
-    /// channels overlap on the same workers instead of running serially —
-    /// `shards` threads total serve the whole system, and a batch loans
-    /// every channel's banks to the pool exactly once however many epoch
-    /// segments it spans (`DESIGN.md §7`).
+    /// The system's engines are split into `min(shards, engines)`
+    /// contiguous groups. Per batch, every busy group but the last is
+    /// moved into its persistent worker thread (spawned on the group's
+    /// first use, joined on drop) and the caller replays the last one, so
+    /// at most `min(shards, engines)` threads work on a batch and a batch
+    /// that touches one group wakes none. Groups with no records and no
+    /// epoch cut are skipped. One engine is the smallest unit of work: a
+    /// [`new`](Self::new) system has one engine per channel, and finer
+    /// parallelism comes from [`partitioned`](Self::partitioned) with more
+    /// slices (`DESIGN.md §7`).
     ///
     /// ```
     /// use cat_core::SchemeSpec;
-    /// use cat_engine::{MemGeometry, MemorySystem};
+    /// use cat_engine::{MemGeometry, MemorySystem, Partition};
     ///
     /// let geometry = MemGeometry {
     ///     channels: 2,
@@ -286,16 +285,27 @@ impl MemorySystem {
     /// let spec = SchemeSpec::Sca { counters: 16, threshold: 64 };
     /// let batch: Vec<(u32, u32)> = (0..40_000).map(|i| (i % 16, 9)).collect();
     /// let mut serial = MemorySystem::new(&geometry, spec).with_epoch_length(700);
-    /// let mut pooled = MemorySystem::new(&geometry, spec)
+    /// // Four 4-bank engines, one group each.
+    /// let partition = Partition::uniform(&geometry, 4).unwrap();
+    /// let mut sharded = MemorySystem::partitioned(&partition, spec)
     ///     .with_epoch_length(700)
     ///     .with_shards(4);
     /// serial.process(&batch);
-    /// pooled.process(&batch);
-    /// assert_eq!(pooled.stats(), serial.stats()); // bit-identical
+    /// sharded.process(&batch);
+    /// assert_eq!(sharded.stats(), serial.stats()); // bit-identical
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard");
-        self.shards = shards;
+        let engines = self.engines.len();
+        let groups = shards.min(engines);
+        // Replacing the groups drops (and joins) any earlier workers.
+        self.groups = (0..groups)
+            .map(|g| Group::new(g * engines / groups..(g + 1) * engines / groups))
+            .collect();
         self
     }
 
@@ -523,9 +533,9 @@ impl MemorySystem {
     /// Processes a batch of `(global bank, row)` activations in order
     /// through the cut-aware batch path (see the module docs): epoch
     /// boundaries (if configured) fire at the right system-wide positions,
-    /// each channel's banks are visited once per batch, and with
-    /// [`with_shards`](Self::with_shards) the channels overlap on the
-    /// shared pool.
+    /// each engine's banks are visited once per batch, and with
+    /// [`with_shards`](Self::with_shards) groups of engines replay in
+    /// parallel.
     ///
     /// Any [staged](Self::push) accesses are flushed first so the stream
     /// order is preserved (their outcome stays accumulated for the next
@@ -542,8 +552,8 @@ impl MemorySystem {
         self.process(&batch)
     }
 
-    /// The cut-aware batch core: computes the global cut list once, then
-    /// dispatches to the routed (serial) or pooled path.
+    /// The cut-aware batch core: computes the global cut list once,
+    /// scatters the batch per engine, then replays every engine's share.
     fn process_batch(&mut self, batch: &[(u32, u32)]) -> BatchOutcome {
         let mut cuts = std::mem::take(&mut self.cut_scratch);
         epoch_cuts(batch.len(), self.accesses, self.epoch_len, &mut cuts);
@@ -552,174 +562,103 @@ impl MemorySystem {
             epochs: cuts.len() as u64,
             ..BatchOutcome::default()
         };
-        if self.shards > 1 {
-            self.pooled_batch(batch, &cuts, &mut out);
-        } else {
-            self.routed_batch(batch, &cuts, &mut out);
-        }
+        self.scatter(batch, &cuts);
+        self.replay(&mut out);
         self.accesses += batch.len() as u64;
         self.epochs += cuts.len() as u64;
         self.cut_scratch = cuts;
         out
     }
 
-    /// Serial path: one stable scatter of the whole batch into per-slice
-    /// sub-batches (recording each slice's cut positions), then one
-    /// cut-aware engine call per slice.
-    fn routed_batch(&mut self, batch: &[(u32, u32)], cuts: &[usize], out: &mut BatchOutcome) {
+    /// One stable scatter of the whole batch into per-engine sub-batches,
+    /// recording each engine's cut positions.
+    fn scatter(&mut self, batch: &[(u32, u32)], cuts: &[usize]) {
         for buf in self.route.iter_mut() {
             buf.clear();
         }
         for buf in self.route_cuts.iter_mut() {
             buf.clear();
         }
-        {
-            let route = &mut self.route;
-            let route_cuts = &mut self.route_cuts;
-            let base = self.owned.start_bank();
-            match self.uniform_shift {
-                // Uniform slice sizes (every built-in layout): the
-                // per-record slice split is a shift/mask, not a search —
-                // slices are pow2-sized and naturally aligned
-                // (GeometrySlice::new), so `bank & mask` *is* the
-                // engine-local bank index.
-                Some(shift) => {
-                    let mask = (1u32 << shift) - 1;
-                    crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
-                        for &(bank, row) in &batch[range] {
-                            route[((bank - base) >> shift) as usize].push((bank & mask, row));
-                        }
-                        if on_boundary {
-                            for (s, s_cuts) in route_cuts.iter_mut().enumerate() {
-                                s_cuts.push(route[s].len());
-                            }
-                        }
-                    });
-                }
-                // Mixed slice sizes: binary-search the owning slice.
-                None => {
-                    let slices = &self.engine_slices;
-                    crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
-                        for &(bank, row) in &batch[range] {
-                            let s = slices.partition_point(|sl| sl.end_bank() <= bank);
-                            route[s].push((bank - slices[s].start_bank(), row));
-                        }
-                        if on_boundary {
-                            for (s, s_cuts) in route_cuts.iter_mut().enumerate() {
-                                s_cuts.push(route[s].len());
-                            }
-                        }
-                    });
-                }
-            }
-        }
-        for (s, engine) in self.engines.iter_mut().enumerate() {
-            if self.route[s].is_empty() && cuts.is_empty() {
-                continue; // nothing to replay, no boundary to fire
-            }
-            let o = engine.process_with_cuts(&self.route[s], &self.route_cuts[s]);
-            out.refresh_events += o.refresh_events;
-            out.refreshed_rows += o.refreshed_rows;
-        }
-    }
-
-    /// Pooled path: every slice's banks are loaned to the shared pool
-    /// once, the whole batch is scattered by bank, and the workers replay
-    /// it — epoch cuts included — with independent slices overlapping on
-    /// the same shard threads.
-    fn pooled_batch(&mut self, batch: &[(u32, u32)], cuts: &[usize], out: &mut BatchOutcome) {
-        let nbanks = self.bank_count().max(1);
-        let shards = self.shards.clamp(1, nbanks);
-        if self.pool.as_ref().map(ShardPool::shards) != Some(shards) {
-            self.pool = Some(ShardPool::new(shards, nbanks));
-        }
-        // cat-lint: allow(panic-path) -- infallible: the pool is (re)built two lines above, not peer-reachable
-        let mut pool = self.pool.take().expect("pool just ensured");
-        let (events_before, rows_before) = self.refresh_totals();
-
-        // The pool partitions the *owned* range by offset; a slice-owning
-        // system rebases the batch's global banks once up front (the
-        // full-range case is base 0 and passes the batch straight
-        // through).
+        let route = &mut self.route;
+        let route_cuts = &mut self.route_cuts;
         let base = self.owned.start_bank();
-        let batch: &[(u32, u32)] = if base == 0 {
-            batch
-        } else {
-            self.pool_rebase.clear();
-            self.pool_rebase
-                .extend(batch.iter().map(|&(bank, row)| (bank - base, row)));
-            &self.pool_rebase
-        };
-
-        // Loan each shard a carrier assembled — in bank order — from the
-        // slice ranges the shard straddles. Splitting and re-absorbing
-        // costs O(materialized banks), not O(banks) (`DESIGN.md §10`),
-        // and a scheme built by a worker keeps its global bank index: the
-        // carrier's base is the shard's first **global** bank.
-        let rows_per_bank = self.geometry.rows_per_bank;
-        let slices = &self.engine_slices;
-        for w in 0..pool.shards() {
-            let range = pool.shard_range(w);
-            let mut carrier = SparseBanks::new(
-                self.spec,
-                (range.end - range.start) as u32,
-                rows_per_bank,
-                base + range.start as u32,
-            );
-            for (s, engine) in self.engines.iter_mut().enumerate() {
-                let e_lo = (slices[s].start_bank() - base) as usize;
-                let e_hi = (slices[s].end_bank() - base) as usize;
-                let g_lo = range.start.max(e_lo);
-                let g_hi = range.end.min(e_hi);
-                if g_lo >= g_hi {
-                    continue;
-                }
-                let sub = engine.banks_mut().take_range(g_lo - e_lo..g_hi - e_lo);
-                carrier.absorb(g_lo - range.start, sub);
+        match self.uniform_shift {
+            // Uniform slice sizes (every built-in layout): the per-record
+            // slice split is a shift/mask, not a search — slices are
+            // pow2-sized and naturally aligned (GeometrySlice::new), so
+            // `bank & mask` *is* the engine-local bank index.
+            Some(shift) => {
+                let mask = (1u32 << shift) - 1;
+                crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
+                    for &(bank, row) in &batch[range] {
+                        route[((bank - base) >> shift) as usize].push((bank & mask, row));
+                    }
+                    if on_boundary {
+                        for (s, s_cuts) in route_cuts.iter_mut().enumerate() {
+                            s_cuts.push(route[s].len());
+                        }
+                    }
+                });
             }
-            pool.loan_shard(w, carrier);
-        }
-        if self.act_scratch.len() < nbanks {
-            self.act_scratch.resize(nbanks, 0);
-        }
-        self.act_scratch[..nbanks].fill(0);
-        pool.run_batch(batch, cuts, &mut self.act_scratch[..nbanks]);
-
-        // Reclaim each shard's carrier, hand every slice its banks back,
-        // and fold the batch into each engine's accounting.
-        for w in 0..pool.shards() {
-            let range = pool.shard_range(w);
-            let mut carrier = pool.reclaim_shard(w);
-            for (s, engine) in self.engines.iter_mut().enumerate() {
-                let e_lo = (slices[s].start_bank() - base) as usize;
-                let e_hi = (slices[s].end_bank() - base) as usize;
-                let g_lo = range.start.max(e_lo);
-                let g_hi = range.end.min(e_hi);
-                if g_lo >= g_hi {
-                    continue;
-                }
-                let sub = carrier.take_range(g_lo - range.start..g_hi - range.start);
-                engine.banks_mut().absorb(g_lo - e_lo, sub);
+            // Mixed slice sizes: binary-search the owning slice.
+            None => {
+                let slices = &self.engine_slices;
+                crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
+                    for &(bank, row) in &batch[range] {
+                        let s = slices.partition_point(|sl| sl.end_bank() <= bank);
+                        route[s].push((bank - slices[s].start_bank(), row));
+                    }
+                    if on_boundary {
+                        for (s, s_cuts) in route_cuts.iter_mut().enumerate() {
+                            s_cuts.push(route[s].len());
+                        }
+                    }
+                });
             }
         }
-        for (s, engine) in self.engines.iter_mut().enumerate() {
-            let e_lo = (slices[s].start_bank() - base) as usize;
-            let e_hi = (slices[s].end_bank() - base) as usize;
-            engine.absorb_pooled_batch(&self.act_scratch[e_lo..e_hi], cuts.len() as u64);
-        }
-        self.pool = Some(pool);
-
-        let (events, rows) = self.refresh_totals();
-        out.refresh_events += events - events_before;
-        out.refreshed_rows += rows - rows_before;
     }
 
-    /// Running (refresh events, refreshed rows) totals across slices.
-    fn refresh_totals(&self) -> (u64, u64) {
-        self.engines
-            .iter()
-            .map(BankEngine::refresh_totals)
-            .fold((0, 0), |(e, r), (ce, cr)| (e + ce, r + cr))
+    /// Replays every engine's share of the scattered batch: every engine
+    /// moves, with its scatter and cut buffers, into its group's task
+    /// list; every busy group but the last goes to its worker, the last
+    /// runs here (with one group, the only path); then every engine and
+    /// buffer moves back in engine order. Each move is an O(1) struct
+    /// move — the banks stay where they are on the heap.
+    fn replay(&mut self, out: &mut BatchOutcome) {
+        let mut g = 0;
+        for (s, engine) in self.engines.drain(..).enumerate() {
+            if s == self.groups[g].engines.end {
+                g += 1;
+            }
+            self.groups[g].tasks.push(Task {
+                engine,
+                records: std::mem::take(&mut self.route[s]),
+                cuts: std::mem::take(&mut self.route_cuts[s]),
+                outcome: BatchOutcome::default(),
+            });
+        }
+        let last = self.groups.iter().rposition(Group::is_busy);
+        for (g, group) in self.groups.iter_mut().enumerate() {
+            if Some(g) != last && group.is_busy() {
+                group.dispatch(g);
+            }
+        }
+        if let Some(g) = last {
+            for task in &mut self.groups[g].tasks {
+                task.run();
+            }
+        }
+        for group in &mut self.groups {
+            group.collect();
+            for task in group.tasks.drain(..) {
+                let s = self.engines.len();
+                out.refresh_events += task.outcome.refresh_events;
+                out.refreshed_rows += task.outcome.refreshed_rows;
+                self.route[s] = task.records;
+                self.route_cuts[s] = task.cuts;
+                self.engines.push(task.engine);
+            }
+        }
     }
 
     /// Routes a global bank to `(engine index, engine-local bank)`.
@@ -844,13 +783,12 @@ impl MemorySystem {
     }
 
     /// Resident-memory snapshot across every slice's sparse bank
-    /// storage, plus the system's own pooled-path scatter scratch.
+    /// storage.
     pub fn footprint(&self) -> EngineFootprint {
         let mut total = EngineFootprint::default();
         for engine in &self.engines {
             total.merge(&engine.footprint());
         }
-        total.accounting_bytes += self.act_scratch.capacity() * std::mem::size_of::<u64>();
         total
     }
 
@@ -863,6 +801,153 @@ impl MemorySystem {
             scheme_stats: self.stats(),
             per_bank_stats: self.per_bank_stats(),
             footprint: self.footprint(),
+        }
+    }
+}
+
+/// One engine's share of a batch, moved by value to the thread that
+/// replays it.
+struct Task {
+    engine: BankEngine,
+    records: Vec<(u32, u32)>,
+    cuts: Vec<usize>,
+    /// The refreshes the replay triggered.
+    outcome: BatchOutcome,
+}
+
+impl Task {
+    /// The one call every engine gets per batch, on whichever thread, so
+    /// the shard count cannot show in its state or footprint. An engine
+    /// with no records and no cut is skipped: nothing to replay, no
+    /// boundary to fire.
+    fn run(&mut self) {
+        if self.is_idle() {
+            return;
+        }
+        let o = self.engine.process_with_cuts(&self.records, &self.cuts);
+        self.outcome.refresh_events += o.refresh_events;
+        self.outcome.refreshed_rows += o.refreshed_rows;
+    }
+
+    fn is_idle(&self) -> bool {
+        self.records.is_empty() && self.cuts.is_empty()
+    }
+}
+
+/// A contiguous run of engines replayed by one thread per batch.
+struct Group {
+    /// The group's engine indices.
+    engines: Range<usize>,
+    /// The group's engines while a batch is in flight; empty (capacity
+    /// kept) between batches and while the worker holds them.
+    tasks: Vec<Task>,
+    /// The group's worker thread, spawned on its first dispatch.
+    worker: Option<Worker>,
+    /// Whether the worker holds this batch's tasks.
+    dispatched: bool,
+}
+
+impl Group {
+    fn new(engines: Range<usize>) -> Self {
+        Group {
+            engines,
+            tasks: Vec::new(),
+            worker: None,
+            dispatched: false,
+        }
+    }
+
+    /// Whether any engine of the group has records or a cut to replay.
+    fn is_busy(&self) -> bool {
+        !self.tasks.iter().all(Task::is_idle)
+    }
+
+    /// Hands the group's tasks to its worker (group `id` names the thread).
+    fn dispatch(&mut self, id: usize) {
+        let tasks = std::mem::take(&mut self.tasks);
+        self.worker
+            .get_or_insert_with(|| Worker::spawn(id))
+            .send(tasks);
+        self.dispatched = true;
+    }
+
+    /// Takes the tasks back from the worker, if they were dispatched.
+    fn collect(&mut self) {
+        if let (true, Some(worker)) = (self.dispatched, &mut self.worker) {
+            self.tasks = worker.recv();
+            self.dispatched = false;
+        }
+    }
+}
+
+/// A persistent thread that replays the task lists it is sent and sends
+/// each one back.
+struct Worker {
+    /// `None` only while dropping: hanging up ends the thread's loop.
+    jobs: Option<Sender<Vec<Task>>>,
+    done: Receiver<Vec<Task>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Worker {
+    fn spawn(id: usize) -> Self {
+        let (jobs, inbox) = channel::<Vec<Task>>();
+        let (outbox, done) = channel();
+        let thread = std::thread::Builder::new()
+            .name(format!("cat-engines-{id}"))
+            .spawn(move || {
+                while let Ok(mut tasks) = inbox.recv() {
+                    for task in &mut tasks {
+                        task.run();
+                    }
+                    if outbox.send(tasks).is_err() {
+                        return;
+                    }
+                }
+            })
+            // cat-lint: allow(panic-path) -- thread creation fails only when the OS is out of threads or memory; no peer input reaches it, and a system that cannot start its workers cannot replay
+            .expect("spawn engine worker thread");
+        Worker {
+            jobs: Some(jobs),
+            done,
+            thread: Some(thread),
+        }
+    }
+
+    fn send(&mut self, tasks: Vec<Task>) {
+        let sent = self.jobs.as_ref().map(|jobs| jobs.send(tasks).is_ok());
+        if sent != Some(true) {
+            self.rethrow();
+        }
+    }
+
+    fn recv(&mut self) -> Vec<Task> {
+        match self.done.recv() {
+            Ok(tasks) => tasks,
+            Err(_) => self.rethrow(),
+        }
+    }
+
+    /// The thread hung up mid-batch, which only a panic inside a replay
+    /// does. Its engines are gone with it, so the system cannot go on:
+    /// re-raise that panic on the calling thread.
+    fn rethrow(&mut self) -> ! {
+        let joined = self.thread.take().map(JoinHandle::join);
+        let payload: Box<dyn std::any::Any + Send> = match joined {
+            Some(Err(payload)) => payload,
+            _ => Box::new("engine worker thread exited mid-batch"),
+        };
+        std::panic::resume_unwind(payload)
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        // Hanging up ends the thread's receive loop; join so no thread
+        // outlives its system.
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -923,8 +1008,8 @@ mod tests {
     #[test]
     fn small_epochs_loan_once_and_stay_identical() {
         // Epoch length far below the batch size: the cut-aware path must
-        // fire every boundary inside one loan and still match the flat
-        // engine bit for bit.
+        // fire every boundary inside one engine call per batch and still
+        // match the flat engine bit for bit.
         let spec = SchemeSpec::Drcat {
             counters: 64,
             levels: 11,
@@ -1120,6 +1205,20 @@ mod tests {
     fn push_of_out_of_range_bank_fails_at_the_push() {
         let mut system = MemorySystem::new(geometry(), SchemeSpec::None);
         system.push_decoded(16, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_panic_on_a_worker_is_re_raised_on_the_caller() {
+        // Bank 0's group goes to a worker (bank 8's group is the last busy
+        // one and runs here); the scheme's own row check fires there and
+        // must surface with its message, not as a lost engine.
+        let spec = SchemeSpec::Sca {
+            counters: 16,
+            threshold: 64,
+        };
+        let mut system = MemorySystem::new(geometry(), spec).with_shards(2);
+        system.process(&[(0, 4096), (8, 1)]);
     }
 
     #[test]

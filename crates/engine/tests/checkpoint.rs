@@ -8,13 +8,13 @@
 //! comparison pins high-water marks, slab directory capacities and lazy
 //! materialization order, not just counter values.
 //!
-//! Covers all three execution paths of the determinism contract
-//! (`DESIGN.md §7`): the flat [`BankEngine::process`] path, the pooled
-//! [`BankEngine::process_sharded`] path, and the routed
-//! [`MemorySystem`] per-channel path (itself pooled for `shards > 1`).
+//! Covers both execution paths of the determinism contract (`DESIGN.md
+//! §7`): the flat [`BankEngine::process`] path and the routed
+//! [`MemorySystem`] path, per channel or per partition slice, on the
+//! calling thread or on worker threads.
 
 use cat_core::SchemeSpec;
-use cat_engine::{BankEngine, MemGeometry, MemorySystem};
+use cat_engine::{BankEngine, MemGeometry, MemorySystem, Partition};
 
 const BANKS: u32 = 16;
 const ROWS: u32 = 4096;
@@ -152,42 +152,117 @@ fn system_kill_and_resume_is_bit_identical_for_every_spec_and_shard_count() {
 #[test]
 fn engine_kill_and_resume_is_bit_identical_on_flat_and_pooled_paths() {
     let trace = trace();
+    let quarters = Partition::uniform(geometry(), 4).expect("4 slices of 4 banks");
     for spec in specs() {
-        for shards in [1usize, 4] {
-            for cut in cuts() {
-                let run = |engine: &mut BankEngine, batch: &[(u32, u32)]| {
-                    if shards == 1 {
-                        engine.process(batch)
-                    } else {
-                        engine.process_sharded(batch, shards)
-                    }
-                };
-                let mut original = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
-                run(&mut original, &trace[..cut]);
-                let image = original
-                    .checkpoint()
-                    .unwrap_or_else(|e| panic!("{spec} x{shards} cut {cut}: checkpoint: {e}"));
+        for cut in cuts() {
+            // Flat arm: one engine over all 16 banks.
+            let mut original = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
+            original.process(&trace[..cut]);
+            let image = original
+                .checkpoint()
+                .unwrap_or_else(|e| panic!("{spec} flat cut {cut}: checkpoint: {e}"));
 
-                let mut resumed = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
-                resumed
-                    .restore(&image)
-                    .unwrap_or_else(|e| panic!("{spec} x{shards} cut {cut}: restore: {e}"));
-                assert_eq!(resumed.stats(), original.stats());
-                assert_eq!(resumed.footprint(), original.footprint());
+            let mut resumed = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
+            resumed
+                .restore(&image)
+                .unwrap_or_else(|e| panic!("{spec} flat cut {cut}: restore: {e}"));
+            assert_eq!(resumed.stats(), original.stats());
+            assert_eq!(resumed.footprint(), original.footprint());
 
-                if cut < trace.len() {
-                    run(&mut original, &trace[cut..]);
-                    run(&mut resumed, &trace[cut..]);
-                }
+            if cut < trace.len() {
+                original.process(&trace[cut..]);
+                resumed.process(&trace[cut..]);
+            }
+            assert_eq!(
+                resumed.stats(),
+                original.stats(),
+                "{spec} flat cut {cut}: engine stats diverge after resume"
+            );
+            assert_eq!(
+                resumed.footprint(),
+                original.footprint(),
+                "{spec} flat cut {cut}: engine footprint diverges after resume"
+            );
+
+            // Sharded arm: the same banks as four 4-bank engines on four
+            // threads.
+            let sharded = || {
+                MemorySystem::partitioned(&quarters, spec)
+                    .with_epoch_length(EPOCH)
+                    .with_shards(4)
+            };
+            let mut original = sharded();
+            original.process(&trace[..cut]);
+            let image = original
+                .checkpoint()
+                .unwrap_or_else(|e| panic!("{spec} x4 cut {cut}: checkpoint: {e}"));
+
+            let mut resumed = sharded();
+            resumed
+                .restore(&image)
+                .unwrap_or_else(|e| panic!("{spec} x4 cut {cut}: restore: {e}"));
+            assert_eq!(resumed.stats(), original.stats());
+            assert_eq!(resumed.footprint(), original.footprint());
+
+            if cut < trace.len() {
+                original.process(&trace[cut..]);
+                resumed.process(&trace[cut..]);
+            }
+            assert_eq!(
+                resumed.stats(),
+                original.stats(),
+                "{spec} x4 cut {cut}: engine stats diverge after resume"
+            );
+            assert_eq!(
+                resumed.footprint(),
+                original.footprint(),
+                "{spec} x4 cut {cut}: engine footprint diverges after resume"
+            );
+        }
+    }
+}
+
+#[test]
+fn images_and_footprints_do_not_depend_on_the_shard_count() {
+    // Shards only change which thread replays an engine, never the calls
+    // it gets: at every epoch cut, a 4-channel system at 1, 2 and 4
+    // shards must checkpoint to the same bytes and report the same full
+    // footprint, `accounting_bytes` included.
+    let geometry = MemGeometry {
+        channels: 4,
+        ranks_per_channel: 1,
+        banks_per_rank: BANKS / 4,
+        rows_per_bank: ROWS,
+        lines_per_row: 16,
+        line_bytes: 64,
+    };
+    let trace = trace();
+    for spec in specs() {
+        let mut systems: Vec<MemorySystem> = [1usize, 2, 4]
+            .into_iter()
+            .map(|shards| {
+                MemorySystem::new(geometry, spec)
+                    .with_epoch_length(EPOCH)
+                    .with_shards(shards)
+            })
+            .collect();
+        let mut prev = 0;
+        for cut in cuts() {
+            for system in &mut systems {
+                system.process(&trace[prev..cut]);
+            }
+            prev = cut;
+            let image = systems[0].checkpoint().unwrap();
+            for (system, shards) in systems.iter().zip([1, 2, 4]).skip(1) {
                 assert_eq!(
-                    resumed.stats(),
-                    original.stats(),
-                    "{spec} x{shards} cut {cut}: engine stats diverge after resume"
+                    system.checkpoint().unwrap(),
+                    image,
+                    "{spec} x{shards} cut {cut}: image differs from 1 shard"
                 );
                 assert_eq!(
-                    resumed.footprint(),
-                    original.footprint(),
-                    "{spec} x{shards} cut {cut}: engine footprint diverges after resume"
+                    system.footprint(),
+                    systems[0].footprint(),
+                    "{spec} x{shards} cut {cut}: footprint differs from 1 shard"
                 );
             }
         }

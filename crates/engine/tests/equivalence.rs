@@ -1,16 +1,16 @@
-//! Differential test: for every `SchemeSpec` variant the batched engine,
-//! the pool-backed bank-sharded engine, and the per-channel `MemorySystem`
-//! routing — serial, pooled-overlapped, and streaming — must all produce
-//! exactly the same `SchemeStats` as the old sequential boxed-dyn
-//! per-access loop, invariant under 1/2/4/8 shard threads, arbitrary batch
-//! boundaries, streaming staging capacities, and epoch lengths smaller
-//! than the batch (the cut-aware path's hard case). PRA is included —
-//! per-bank PRNG seeding (with the channel engines' bank bases) makes both
-//! bank-sharding and channel routing deterministic. The invariants being
+//! Differential test: for every `SchemeSpec` variant the batched engine
+//! and the `MemorySystem` routing — per channel or per partition slice,
+//! on the calling thread or on worker threads, batched or streaming —
+//! must all produce exactly the same `SchemeStats` as the old sequential
+//! boxed-dyn per-access loop, invariant under 1/2/4/8 shard threads,
+//! arbitrary batch boundaries, streaming staging capacities, and epoch
+//! lengths smaller than the batch (the cut-aware path's hard case). PRA is
+//! included — per-bank PRNG seeding (with the engines' bank bases) makes
+//! every engine split and shard count deterministic. The invariants being
 //! exercised are spelled out in `DESIGN.md §7`.
 
 use cat_core::{MitigationScheme, RowId, SchemeSpec, SchemeStats};
-use cat_engine::{BankEngine, MemGeometry, MemorySystem};
+use cat_engine::{BankEngine, MemGeometry, MemorySystem, Partition};
 
 const BANKS: u32 = 16;
 const ROWS: u32 = 8192;
@@ -28,6 +28,14 @@ fn geometry() -> MemGeometry {
         lines_per_row: 16,
         line_bytes: 64,
     }
+}
+
+/// The 16 banks as `slices` equal engines replayed on `shards` threads —
+/// the routed path at a finer engine split than one per channel, so every
+/// shard count up to `slices` gets groups of its own.
+fn sliced(spec: SchemeSpec, slices: u32, shards: usize) -> MemorySystem {
+    let partition = Partition::uniform(geometry(), slices).expect("uniform split of 16 banks");
+    MemorySystem::partitioned(&partition, spec).with_shards(shards)
 }
 
 /// Deterministic trace mixing a few hammered rows with a spread background,
@@ -133,10 +141,10 @@ fn engine_matches_old_loop_for_every_spec_and_shard_count() {
         );
         assert_eq!(engine.epochs(), 150_000 / EPOCH);
 
-        // Pool-backed sharding, 1/2/4/8 worker threads.
+        // Eight 2-bank engines on 1/2/4/8 threads.
         for shards in [1usize, 2, 4, 8] {
-            let mut sharded = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
-            sharded.process_sharded(&trace, shards);
+            let mut sharded = sliced(spec, 8, shards).with_epoch_length(EPOCH);
+            sharded.process(&trace);
             assert_eq!(
                 sharded.stats(),
                 old_total,
@@ -166,9 +174,10 @@ fn engine_matches_old_loop_for_every_spec_and_shard_count() {
 
 #[test]
 fn memory_system_matches_old_loop_for_every_spec_and_shard_count() {
-    // The per-channel routing front-end, sequential and pool-backed, must
-    // be bit-identical to the flat sequential engine (and so to the old
-    // loop) — including across batch boundaries that straddle epochs.
+    // The per-channel routing front-end, on the calling thread and on
+    // workers, must be bit-identical to the flat sequential engine (and so
+    // to the old loop) — including across batch boundaries that straddle
+    // epochs.
     let trace = trace(150_000);
     for spec in all_specs() {
         let (old_total, old_per_bank) = old_sequential_loop(spec, &trace);
@@ -246,9 +255,9 @@ fn streaming_push_matches_old_loop_for_every_spec() {
 fn small_epochs_match_old_loop_for_every_spec_and_path() {
     // Epoch lengths far below the batch (and chunk) size: the cut-aware
     // batch path must fire hundreds of boundaries inside a single bank
-    // loan — including segments in which a whole channel sees no access —
-    // and stay bit-identical on the flat, sharded, routed and pooled
-    // paths.
+    // engine call — including segments in which a whole channel sees no
+    // access — and stay bit-identical on the flat path and the routed
+    // path at every engine split and shard count.
     let trace = trace(60_000);
     for epoch in [61u64, 997] {
         for spec in all_specs() {
@@ -258,9 +267,9 @@ fn small_epochs_match_old_loop_for_every_spec_and_path() {
             flat.process(&trace);
             assert_eq!(flat.stats(), old_total, "{spec}: flat != old loop @{epoch}");
 
-            let mut sharded = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(epoch);
+            let mut sharded = sliced(spec, 4, 4).with_epoch_length(epoch);
             for chunk in trace.chunks(13_337) {
-                sharded.process_sharded(chunk, 4);
+                sharded.process(chunk);
             }
             assert_eq!(
                 sharded.stats(),
@@ -294,9 +303,10 @@ fn small_epochs_match_old_loop_for_every_spec_and_path() {
 
 #[test]
 fn external_cuts_match_internal_epoch_accounting() {
-    // process_with_cuts / process_sharded_with_cuts with the cut positions
-    // with_epoch_length would have computed must land on identical stats —
-    // the cut-list form is the same epoch clock, just caller-owned.
+    // process_with_cuts — and a clockless sharded system told end_epoch at
+    // the same places — with the cut positions with_epoch_length would
+    // have computed must land on identical stats: the cut-list form is
+    // the same epoch clock, just caller-owned.
     let spec = SchemeSpec::Drcat {
         counters: 64,
         levels: 11,
@@ -318,8 +328,14 @@ fn external_cuts_match_internal_epoch_accounting() {
     assert_eq!(external.epochs(), internal.epochs());
     assert_eq!(out.epochs, cuts.len() as u64);
 
-    let mut external_sharded = BankEngine::new(spec, BANKS, ROWS);
-    external_sharded.process_sharded_with_cuts(&trace, &cuts, 4);
+    let mut external_sharded = sliced(spec, 4, 4);
+    let mut prev = 0;
+    for &cut in &cuts {
+        external_sharded.process(&trace[prev..cut]);
+        external_sharded.end_epoch();
+        prev = cut;
+    }
+    external_sharded.process(&trace[prev..]);
     assert_eq!(external_sharded.stats(), internal.stats());
     assert_eq!(external_sharded.per_bank_stats(), internal.per_bank_stats());
 }
@@ -362,9 +378,19 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
     // whatever subset of banks a workload touches — a contiguous hot
     // range, a stride that leaves gaps, one single bank, or every bank —
     // the sparse engine must be bit-identical to the dense eagerly-built
-    // reference on the flat and 1/2/4-shard pooled paths, and must have
-    // materialized exactly the touched banks, never the cold ones.
+    // reference on the flat path and on four 16-bank engines at 1/2/4
+    // shards, and must have materialized exactly the touched banks, never
+    // the cold ones.
     const SPARSE_BANKS: u32 = 64;
+    let sparse_geometry = MemGeometry {
+        channels: 1,
+        ranks_per_channel: 1,
+        banks_per_rank: SPARSE_BANKS,
+        rows_per_bank: ROWS,
+        lines_per_row: 16,
+        line_bytes: 64,
+    };
+    let quarters = Partition::uniform(sparse_geometry, 4).expect("4 slices of 16 banks");
     const N: u64 = 60_000;
     let mix = |i: u64, bank: u32| {
         let mut z = i
@@ -438,9 +464,10 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
             }
 
             for shards in [1usize, 2, 4] {
-                let mut sharded =
-                    BankEngine::new(spec, SPARSE_BANKS, ROWS).with_epoch_length(EPOCH);
-                sharded.process_sharded(trace, shards);
+                let mut sharded = MemorySystem::partitioned(&quarters, spec)
+                    .with_epoch_length(EPOCH)
+                    .with_shards(shards);
+                sharded.process(trace);
                 assert_eq!(
                     sharded.stats(),
                     old_total,
@@ -452,7 +479,7 @@ fn sparse_storage_matches_dense_reference_across_touch_patterns() {
                     assert_eq!(
                         sharded.footprint().materialized_banks,
                         touched.len(),
-                        "{spec} {name}: {shards}-shard workers over-materialized"
+                        "{spec} {name}: {shards}-shard replay over-materialized"
                     );
                 }
             }
@@ -488,19 +515,30 @@ fn cold_banks_never_materialize_at_big_geometry() {
         fp.resident_bytes(),
         dense_estimate
     );
-    // The pooled path must stay lazy too (shard workers materialize only
-    // on rows), and keep matching the flat run.
-    let mut pooled = BankEngine::new(spec, BIG, ROWS).with_epoch_length(1_000);
-    pooled.process_sharded(&trace, 4);
-    assert_eq!(pooled.stats(), engine.stats());
-    assert_eq!(pooled.footprint().materialized_banks, 64);
+    // The same banks as a 4-channel system at 2 shards must stay lazy too
+    // (engines materialize only on rows), and keep matching the flat run.
+    let geometry = MemGeometry {
+        channels: 4,
+        ranks_per_channel: 1,
+        banks_per_rank: BIG / 4,
+        rows_per_bank: ROWS,
+        lines_per_row: 16,
+        line_bytes: 64,
+    };
+    let mut sharded = MemorySystem::new(geometry, spec)
+        .with_epoch_length(1_000)
+        .with_shards(2);
+    sharded.process(&trace);
+    assert_eq!(sharded.stats(), engine.stats());
+    assert_eq!(sharded.footprint().banks, BIG as usize);
+    assert_eq!(sharded.footprint().materialized_banks, 64);
 }
 
 #[test]
 fn sharded_batches_compose_across_process_calls() {
     // Epoch state must carry across repeated sharded batches exactly as in
-    // one big sequential run — and the persistent pool must keep producing
-    // identical results when fed many small batches.
+    // one big sequential run — and the persistent workers must keep
+    // producing identical results when fed many small batches.
     let spec = SchemeSpec::Drcat {
         counters: 64,
         levels: 11,
@@ -508,10 +546,10 @@ fn sharded_batches_compose_across_process_calls() {
     };
     let trace = trace(90_000);
     let (old_total, _) = old_sequential_loop(spec, &trace);
-    let mut engine = BankEngine::new(spec, BANKS, ROWS).with_epoch_length(EPOCH);
+    let mut system = sliced(spec, 4, 4).with_epoch_length(EPOCH);
     for chunk in trace.chunks(13_337) {
-        engine.process_sharded(chunk, 4);
+        system.process(chunk);
     }
-    assert_eq!(engine.stats(), old_total);
-    assert_eq!(engine.epochs(), 90_000 / EPOCH);
+    assert_eq!(system.stats(), old_total);
+    assert_eq!(system.epochs(), 90_000 / EPOCH);
 }

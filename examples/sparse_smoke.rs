@@ -8,6 +8,10 @@
 //! run this binary under a `ulimit -v` ceiling far below what eager dense
 //! storage would allocate, so a regression to eager materialization fails
 //! by running out of address space, not just by tripping the asserts.
+//! The same trace is then replayed through a 2-shard system in
+//! 8192-record flushes — the `catd` server's flush size — which must
+//! match the flat run's stats and materialize the same banks, under the
+//! same ceiling.
 //!
 //! Run with: `cargo run --release --example sparse_smoke`
 
@@ -95,6 +99,29 @@ fn main() {
         fp.resident_bytes(),
         dense_estimate,
         dense_estimate as f64 / fp.resident_bytes() as f64
+    );
+
+    // The sharded datapath: the same trace at 2 shards, flushed the way
+    // the `catd` drain flushes it.
+    let mut sharded = MemorySystem::new(geometry, spec)
+        .with_epoch_length(1_000_000)
+        .with_shards(2);
+    // cat-lint: allow(wall-clock) -- timing print only, not an input to the datapath
+    let run = Instant::now();
+    for chunk in batch.chunks(MemorySystem::DEFAULT_STREAM_CAPACITY) {
+        sharded.process(chunk);
+    }
+    let secs = run.elapsed().as_secs_f64();
+    assert_eq!(sharded.stats(), system.stats(), "2 shards must match flat");
+    assert_eq!(
+        sharded.footprint().materialized_banks,
+        fp.materialized_banks,
+        "2 shards must materialize exactly the flat run's banks"
+    );
+    println!(
+        "sparse_smoke: 2 shards, {}-record flushes at {:.1} Macts/s, identical stats",
+        MemorySystem::DEFAULT_STREAM_CAPACITY,
+        accesses as f64 / secs / 1e6
     );
     println!("sparse_smoke: OK");
 }
