@@ -163,15 +163,16 @@ impl SchemeSpec {
 
     /// Instantiates the scheme for one bank behind a trait object.
     ///
-    /// Retained for extensibility (schemes outside the [`SchemeInstance`]
-    /// enum); hot paths should prefer [`build_instance`](Self::build_instance).
+    /// This is the virtual-call reference the tests and the
+    /// `engine_throughput` bench compare the enum-dispatched path against;
+    /// hot paths use [`build_instance`](Self::build_instance).
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`build_instance`](Self::build_instance).
     pub fn build(&self, rows: u32, bank_index: u32) -> Option<Box<dyn MitigationScheme + Send>> {
         self.build_instance(rows, bank_index)
-            .map(SchemeInstance::into_boxed)
+            .map(|instance| Box::new(instance) as Box<dyn MitigationScheme + Send>)
     }
 
     /// The hardware footprint the scheme would occupy per bank of `rows`

@@ -19,12 +19,10 @@
 //! call, so between batches every engine is back in the system and a cut
 //! image is consistent by construction, with no quiescing machinery.
 //!
-//! Decode is hardened like [`crate::wire`]: magic + version + scope are
-//! checked first, every count is validated against the bytes actually
-//! remaining *before* anything is allocated, capacities are bounded by
-//! hard caps, and the image carries a trailing FNV-1a integrity hash so
-//! torn or bit-flipped files surface as typed [`io::Error`]s instead of
-//! panics or silently wrong state.
+//! Decode shares the wire's bounds-checked byte codec: magic + version +
+//! scope first, every count checked against the bytes remaining and a
+//! hard cap *before* allocation, and a trailing FNV-1a integrity hash, so
+//! torn or bit-flipped files are typed [`io::Error`]s, never panics.
 //!
 //! The on-disk recovery protocol of the `catd` front-end pairs the
 //! checkpoint image with a bounded **trace log**: every merged batch is
@@ -41,6 +39,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use cat_core::{StateError, StateReader};
 
+use crate::codec::{
+    bad, put_geometry, put_header, put_str, put_u32, put_u64, read_array, ByteReader,
+};
 use crate::ingest::{IngestConsumer, IngestEvent};
 use crate::wire::{pack_record, unpack_record, MAX_SPEC_LEN};
 use crate::{BankEngine, BatchOutcome, MemorySystem};
@@ -92,7 +93,7 @@ const LOG_MAGIC: [u8; 4] = *b"CATL";
 /// header and the in-stream cut marker word.
 const LOG_VERSION: u16 = 2;
 /// Log header bytes: magic + version + base access count + base epochs.
-const LOG_HEADER_BYTES: u64 = 4 + 2 + 8 + 8;
+const LOG_HEADER_BYTES: usize = 4 + 2 + 8 + 8;
 /// In-stream epoch-cut marker: a word whose bank half is `u32::MAX`,
 /// which no validated record can carry (banks are bounded by the
 /// geometry, itself capped well below `u32::MAX`). Clockless systems
@@ -102,10 +103,6 @@ const LOG_HEADER_BYTES: u64 = 4 + 2 + 8 + 8;
 const CUT_MARKER: u64 = u32::MAX as u64;
 /// Records per [`MemorySystem::process`] call during log replay.
 const REPLAY_CHUNK: usize = 1 << 16;
-
-fn bad(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
 
 fn state_err(e: StateError) -> io::Error {
     let kind = match e {
@@ -139,14 +136,24 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Appends the integrity hash of everything written so far.
-fn seal(buf: &mut Vec<u8>) {
-    let h = fnv1a(buf);
-    buf.extend_from_slice(&h.to_le_bytes());
+/// Builds a sealed image: header, the `scope` section `encode` appends,
+/// then the integrity hash of everything before it.
+fn sealed_image(
+    scope: u8,
+    encode: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+) -> io::Result<Vec<u8>> {
+    let mut out = Vec::new();
+    put_header(&mut out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+    out.push(scope);
+    encode(&mut out)?;
+    let hash = fnv1a(&out);
+    put_u64(&mut out, hash);
+    Ok(out)
 }
 
-/// Verifies and strips the trailing integrity hash, returning the body.
-fn verify_sealed(image: &[u8]) -> io::Result<&[u8]> {
+/// Verifies the integrity hash and the header of a sealed image, returning
+/// a reader over its `want_scope` section.
+fn open_image(image: &[u8], want_scope: u8) -> io::Result<ByteReader<'_>> {
     if image.len() < 8 {
         return Err(bad(format!("{}-byte checkpoint image", image.len())));
     }
@@ -157,108 +164,20 @@ fn verify_sealed(image: &[u8]) -> io::Result<&[u8]> {
         )));
     }
     let (body, tail) = image.split_at(image.len() - 8);
-    let mut stored = [0u8; 8];
-    stored.copy_from_slice(tail);
-    let stored = u64::from_le_bytes(stored);
-    if fnv1a(body) != stored {
+    if fnv1a(body).to_le_bytes() != tail {
         return Err(bad("checkpoint integrity hash mismatch"));
     }
-    Ok(body)
+    let mut r = ByteReader::new(body);
+    read_header(&mut r, want_scope)?;
+    Ok(r)
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian encode/decode primitives
+// Header and epoch clock
 // ---------------------------------------------------------------------------
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Cursor over a checkpoint body. Every read validates against the bytes
-/// actually remaining, so a forged count errors before it allocates.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> io::Result<&'a [u8]> {
-        if n > self.buf.len() {
-            return Err(bad(format!(
-                "truncated checkpoint: {what} needs {n} bytes, {} remain",
-                self.buf.len()
-            )));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self, what: &str) -> io::Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> io::Result<u16> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> io::Result<u32> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> io::Result<u64> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn finish(self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(bad(format!(
-                "{} trailing bytes after the checkpoint body",
-                self.buf.len()
-            )))
-        }
-    }
-}
-
-fn put_header(buf: &mut Vec<u8>, scope: u8) {
-    buf.extend_from_slice(&CHECKPOINT_MAGIC);
-    put_u16(buf, CHECKPOINT_VERSION);
-    buf.push(scope);
-}
 
 fn read_header(r: &mut ByteReader<'_>, want_scope: u8) -> io::Result<()> {
-    let magic = r.take(4, "magic")?;
-    if magic != CHECKPOINT_MAGIC {
-        return Err(bad(format!("bad checkpoint magic {magic:02x?}")));
-    }
-    let version = r.u16("version")?;
-    if version != CHECKPOINT_VERSION {
-        return Err(bad(format!(
-            "checkpoint version {version}, this build reads {CHECKPOINT_VERSION}"
-        )));
-    }
+    r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")?;
     let scope = r.u8("scope")?;
     if scope != want_scope {
         let describe = |s: u8| match s {
@@ -275,29 +194,46 @@ fn read_header(r: &mut ByteReader<'_>, want_scope: u8) -> io::Result<()> {
     Ok(())
 }
 
-fn put_epoch_len(buf: &mut Vec<u8>, epoch_len: Option<u64>) {
-    match epoch_len {
-        Some(n) => {
-            buf.push(1);
-            put_u64(buf, n);
-        }
-        None => {
-            buf.push(0);
-            put_u64(buf, 0);
-        }
+/// Refuses a stream position off an epoch cut: the only positions an
+/// image may capture.
+fn at_cut(accesses: u64, epoch_len: Option<u64>) -> io::Result<()> {
+    if aligned(accesses, epoch_len) {
+        Ok(())
+    } else {
+        Err(bad(format!(
+            "position {accesses} is off the epoch cut of {epoch_len:?}-access epochs"
+        )))
     }
 }
 
-fn read_epoch_len(r: &mut ByteReader<'_>) -> io::Result<Option<u64>> {
-    let flag = r.u8("epoch flag")?;
-    let len = r.u64("epoch length")?;
-    match (flag, len) {
-        (0, 0) => Ok(None),
-        (0, _) => Err(bad("epoch length set with a cleared epoch flag")),
-        (1, 0) => Err(bad("zero epoch length with a set epoch flag")),
-        (1, n) => Ok(Some(n)),
-        (other, _) => Err(bad(format!("epoch flag {other} is neither 0 nor 1"))),
+/// Appends the epoch clock (flag byte + u64 length, zero without a clock)
+/// and the stream position (accesses, epochs).
+fn put_position(out: &mut Vec<u8>, epoch_len: Option<u64>, accesses: u64, epochs: u64) {
+    out.push(u8::from(epoch_len.is_some()));
+    put_u64(out, epoch_len.unwrap_or(0));
+    put_u64(out, accesses);
+    put_u64(out, epochs);
+}
+
+/// Reads a [`put_position`] block as `(accesses, epochs)`, refusing an
+/// epoch clock other than the restore target's `own` and a position off
+/// its epoch cut.
+fn read_position(r: &mut ByteReader<'_>, own: Option<u64>) -> io::Result<(u64, u64)> {
+    let epoch_len = match (r.u8("epoch flag")?, r.u64("epoch length")?) {
+        (0, 0) => None,
+        (0, _) => return Err(bad("epoch length set with a cleared epoch flag")),
+        (1, 0) => return Err(bad("zero epoch length with a set epoch flag")),
+        (1, n) => Some(n),
+        (other, _) => return Err(bad(format!("epoch flag {other} is neither 0 nor 1"))),
+    };
+    if epoch_len != own {
+        return Err(bad(format!(
+            "checkpoint epoch length {epoch_len:?}, restore target configured with {own:?}"
+        )));
     }
+    let (accesses, epochs) = (r.u64("access count")?, r.u64("epoch count")?);
+    at_cut(accesses, epoch_len)?;
+    Ok((accesses, epochs))
 }
 
 // ---------------------------------------------------------------------------
@@ -320,18 +256,16 @@ fn read_epoch_len(r: &mut ByteReader<'_>) -> io::Result<Option<u64>> {
 ///                                touched, row_scratch (high-water marks)
 /// ```
 fn encode_engine_section(e: &BankEngine, out: &mut Vec<u8>) -> io::Result<()> {
-    let spec = e.banks.spec().to_string();
-    if spec.len() > usize::from(MAX_SPEC_LEN) {
-        return Err(bad(format!("spec string of {} bytes", spec.len())));
-    }
-    put_u16(out, spec.len() as u16);
-    out.extend_from_slice(spec.as_bytes());
+    put_str(
+        out,
+        &e.banks.spec().to_string(),
+        MAX_SPEC_LEN,
+        "spec string",
+    )?;
     put_u32(out, e.banks.capacity() as u32);
     put_u32(out, e.banks.rows());
     put_u32(out, e.banks.base());
-    put_epoch_len(out, e.epoch_len);
-    put_u64(out, e.accesses);
-    put_u64(out, e.epochs);
+    put_position(out, e.epoch_len, e.accesses, e.epochs);
 
     put_u64(out, e.activations.block_capacity() as u64);
     put_u64(out, e.activations.occupied() as u64);
@@ -374,30 +308,12 @@ fn read_bank_index(
     what: &str,
 ) -> io::Result<usize> {
     let bank = r.u64(what)?;
-    if bank >= banks as u64 {
-        return Err(bad(format!("{what} {bank} out of range for {banks} banks")));
-    }
-    let bank = bank as usize;
-    if let Some(p) = prev {
-        if bank <= p {
-            return Err(bad(format!(
-                "{what} {bank} not strictly ascending after {p}"
-            )));
-        }
-    }
-    Ok(bank)
-}
-
-/// Reads a saved scratch-capacity high-water mark, bounded by
-/// [`MAX_SCRATCH_CAP`] so a forged field cannot force a huge allocation.
-fn read_scratch_cap(r: &mut ByteReader<'_>, what: &str) -> io::Result<usize> {
-    let cap = r.u64(what)?;
-    if cap > MAX_SCRATCH_CAP {
+    if bank >= banks as u64 || prev.is_some_and(|p| bank <= p as u64) {
         return Err(bad(format!(
-            "{what} of {cap} exceeds the {MAX_SCRATCH_CAP}-element cap"
+            "{what} {bank} out of range for {banks} banks or not above the previous {prev:?}"
         )));
     }
-    Ok(cap as usize)
+    Ok(bank as usize)
 }
 
 /// Restores one engine section onto a freshly built engine of the same
@@ -412,53 +328,28 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
     {
         return Err(bad("restore target is not freshly built"));
     }
-    let spec_len = usize::from(r.u16("spec length")?);
-    if spec_len > usize::from(MAX_SPEC_LEN) {
-        return Err(bad(format!("spec string of {spec_len} bytes")));
-    }
-    let spec_bytes = r.take(spec_len, "spec string")?;
-    let spec = std::str::from_utf8(spec_bytes).map_err(|e| bad(format!("spec not UTF-8: {e}")))?;
-    let own = e.banks.spec().to_string();
-    if spec != own {
+    let spec_len = r.str_len(MAX_SPEC_LEN, "spec string")?;
+    let spec = r.str_body(spec_len, "spec string")?;
+    let saved = (
+        spec,
+        r.u32("bank count")?,
+        r.u32("row count")?,
+        r.u32("bank base")?,
+    );
+    let own_spec = e.banks.spec().to_string();
+    let own = (
+        own_spec.as_str(),
+        e.banks.capacity() as u32,
+        e.banks.rows(),
+        e.banks.base(),
+    );
+    if saved != own {
         return Err(bad(format!(
-            "checkpoint spec `{spec}` does not match engine spec `{own}`"
+            "checkpoint (spec, banks, rows, bank base) {saved:?} does not match the engine's {own:?}"
         )));
     }
-    let banks = r.u32("bank count")? as usize;
-    if banks != e.banks.capacity() {
-        return Err(bad(format!(
-            "checkpoint spans {banks} banks, engine has {}",
-            e.banks.capacity()
-        )));
-    }
-    let rows = r.u32("row count")?;
-    if rows != e.banks.rows() {
-        return Err(bad(format!(
-            "checkpoint banks have {rows} rows, engine banks have {}",
-            e.banks.rows()
-        )));
-    }
-    let base = r.u32("bank base")?;
-    if base != e.banks.base() {
-        return Err(bad(format!(
-            "checkpoint bank base {base}, engine bank base {}",
-            e.banks.base()
-        )));
-    }
-    let epoch_len = read_epoch_len(r)?;
-    if epoch_len != e.epoch_len {
-        return Err(bad(format!(
-            "checkpoint epoch length {epoch_len:?}, engine configured with {:?}",
-            e.epoch_len
-        )));
-    }
-    let accesses = r.u64("access count")?;
-    let epochs = r.u64("epoch count")?;
-    if !aligned(accesses, epoch_len) {
-        return Err(bad(format!(
-            "checkpoint position {accesses} is not an epoch cut of {epoch_len:?}"
-        )));
-    }
+    let banks = e.banks.capacity();
+    let (accesses, epochs) = read_position(r, e.epoch_len)?;
 
     // Activation counters: reserve the saved directory high-water mark,
     // then re-insert in ascending bank order — that reproduces the slab's
@@ -467,20 +358,9 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
     // The directory holds at most ceil(banks/64) blocks, but Vec growth
     // (doubling, minimum first allocation) can leave its capacity up to
     // 2× that — or 8 for tiny slabs — so bound forged values there.
-    let max_blocks = banks.div_ceil(64);
-    let cap_bound = max_blocks.saturating_mul(2).max(8);
-    let act_cap = r.u64("activation block capacity")? as usize;
-    if act_cap > cap_bound {
-        return Err(bad(format!(
-            "activation directory capacity {act_cap} exceeds the {cap_bound}-block bound"
-        )));
-    }
-    let occupied = r.u64("activation entry count")? as usize;
-    if occupied > banks || occupied.saturating_mul(16) > r.remaining() {
-        return Err(bad(format!(
-            "{occupied} activation entries exceed the image"
-        )));
-    }
+    let cap_bound = banks.div_ceil(64).saturating_mul(2).max(8) as u64;
+    let act_cap = r.bounded(cap_bound, 0, "activation block capacity")?;
+    let occupied = r.bounded(banks as u64, 16, "activation entry count")?;
     e.activations.reserve_block_capacity(act_cap);
     let mut prev: Option<usize> = None;
     for _ in 0..occupied {
@@ -496,39 +376,15 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
     // Scheme instances: same reserve-then-ascending-rebuild discipline;
     // each bank is materialized fresh from the (already validated) spec,
     // then its saved word stream is applied with full structural checks.
-    let scheme_cap = r.u64("scheme block capacity")? as usize;
-    if scheme_cap > cap_bound {
-        return Err(bad(format!(
-            "scheme directory capacity {scheme_cap} exceeds the {cap_bound}-block bound"
-        )));
-    }
-    let materialized = r.u64("materialized bank count")? as usize;
-    if materialized > banks || materialized.saturating_mul(16) > r.remaining() {
-        return Err(bad(format!(
-            "{materialized} scheme entries exceed the image"
-        )));
-    }
+    let scheme_cap = r.bounded(cap_bound, 0, "scheme block capacity")?;
+    let materialized = r.bounded(banks as u64, 16, "materialized bank count")?;
     e.banks.reserve_block_capacity(scheme_cap);
     let mut words: Vec<u64> = Vec::new();
     let mut prev: Option<usize> = None;
     for _ in 0..materialized {
         let bank = read_bank_index(r, banks, prev, "scheme bank")?;
         prev = Some(bank);
-        let nwords = r.u64("scheme state length")?;
-        if nwords > MAX_STATE_WORDS {
-            return Err(bad(format!(
-                "bank {bank} scheme state of {nwords} words exceeds the {MAX_STATE_WORDS}-word cap"
-            )));
-        }
-        if nwords.saturating_mul(8) > r.remaining() as u64 {
-            return Err(bad(format!(
-                "bank {bank} scheme state of {nwords} words exceeds the image"
-            )));
-        }
-        words.clear();
-        for _ in 0..nwords {
-            words.push(r.u64("scheme state word")?);
-        }
+        r.u64s(MAX_STATE_WORDS, "scheme state", &mut words)?;
         let scheme = e
             .banks
             .scheme_mut(bank)
@@ -542,13 +398,13 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
     // `reserve_exact` reproduces the saved capacities exactly; later
     // fills stay within them because the saved value was the original
     // run's high-water mark.
-    let act_scratch = read_scratch_cap(r, "act_scratch capacity")?;
+    let act_scratch = r.bounded(MAX_SCRATCH_CAP, 0, "act_scratch capacity")?;
     e.act_scratch.reserve_exact(act_scratch);
-    let seg_cursor = read_scratch_cap(r, "seg_cursor capacity")?;
+    let seg_cursor = r.bounded(MAX_SCRATCH_CAP, 0, "seg_cursor capacity")?;
     e.seg_cursor.reserve_exact(seg_cursor);
-    let touched = read_scratch_cap(r, "touched capacity")?;
+    let touched = r.bounded(MAX_SCRATCH_CAP, 0, "touched capacity")?;
     e.touched.reserve_exact(touched);
-    let row_scratch = read_scratch_cap(r, "row_scratch capacity")?;
+    let row_scratch = r.bounded(MAX_SCRATCH_CAP, 0, "row_scratch capacity")?;
     e.row_scratch.reserve_exact(row_scratch);
 
     e.accesses = accesses;
@@ -564,22 +420,10 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
 /// clock + counters, the system-level scratch high-water marks, then
 /// every engine's section in slice order.
 fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> {
-    let g = s.geometry;
-    for field in [
-        g.channels,
-        g.ranks_per_channel,
-        g.banks_per_rank,
-        g.rows_per_bank,
-        g.lines_per_row,
-        g.line_bytes,
-    ] {
-        put_u32(out, field);
-    }
+    put_geometry(out, &s.geometry);
     put_u32(out, s.owned.start_bank());
     put_u32(out, s.owned.banks());
-    put_epoch_len(out, s.epoch_len);
-    put_u64(out, s.accesses);
-    put_u64(out, s.epochs);
+    put_position(out, s.epoch_len, s.accesses, s.epochs);
     put_u64(out, s.staged.capacity() as u64);
     put_u32(out, s.engines.len() as u32);
     for engine in &s.engines {
@@ -595,48 +439,15 @@ fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Re
     if s.accesses != 0 || s.epochs != 0 || !s.staged.is_empty() {
         return Err(bad("restore target is not freshly built"));
     }
-    let mut fields = [0u32; 6];
-    for f in &mut fields {
-        *f = r.u32("geometry field")?;
-    }
-    let own = s.geometry;
-    let saved = [
-        own.channels,
-        own.ranks_per_channel,
-        own.banks_per_rank,
-        own.rows_per_bank,
-        own.lines_per_row,
-        own.line_bytes,
-    ];
-    if fields != saved {
+    let saved = (r.geometry()?, r.u32("slice start")?, r.u32("slice banks")?);
+    let own = (s.geometry, s.owned.start_bank(), s.owned.banks());
+    if saved != own {
         return Err(bad(format!(
-            "checkpoint geometry {fields:?} does not match system geometry {saved:?}"
+            "checkpoint (geometry, slice start, slice banks) {saved:?} does not match the system's {own:?}"
         )));
     }
-    let slice_start = r.u32("slice start bank")?;
-    let slice_banks = r.u32("slice bank count")?;
-    if slice_start != s.owned.start_bank() || slice_banks != s.owned.banks() {
-        return Err(bad(format!(
-            "checkpoint owns banks {slice_start}..{}, system owns {}",
-            u64::from(slice_start) + u64::from(slice_banks),
-            s.owned
-        )));
-    }
-    let epoch_len = read_epoch_len(r)?;
-    if epoch_len != s.epoch_len {
-        return Err(bad(format!(
-            "checkpoint epoch length {epoch_len:?}, system configured with {:?}",
-            s.epoch_len
-        )));
-    }
-    let accesses = r.u64("access count")?;
-    let epochs = r.u64("epoch count")?;
-    if !aligned(accesses, epoch_len) {
-        return Err(bad(format!(
-            "checkpoint position {accesses} is not an epoch cut of {epoch_len:?}"
-        )));
-    }
-    let staged = read_scratch_cap(r, "staging buffer capacity")?;
+    let (accesses, epochs) = read_position(r, s.epoch_len)?;
+    let staged = r.bounded(MAX_SCRATCH_CAP, 0, "staging buffer capacity")?;
     s.staged.reserve_exact(staged);
     let engines = r.u32("engine count")? as usize;
     if engines != s.engines.len() {
@@ -675,19 +486,10 @@ impl BankEngine {
     /// [`io::ErrorKind::InvalidData`] if the engine is not at an epoch cut
     /// (with an epoch clock configured, `accesses` must be a multiple of
     /// the epoch length); [`io::ErrorKind::Unsupported`] if a bank holds a
-    /// scheme without a state-capture contract (boxed external schemes).
+    /// PRA scheme whose PRNG backend cannot capture its state.
     pub fn checkpoint(&self) -> io::Result<Vec<u8>> {
-        if !aligned(self.accesses, self.epoch_len) {
-            return Err(bad(format!(
-                "checkpoint off the epoch cut: {} accesses with {:?}-access epochs",
-                self.accesses, self.epoch_len
-            )));
-        }
-        let mut out = Vec::new();
-        put_header(&mut out, SCOPE_ENGINE);
-        encode_engine_section(self, &mut out)?;
-        seal(&mut out);
-        Ok(out)
+        at_cut(self.accesses, self.epoch_len)?;
+        sealed_image(SCOPE_ENGINE, |out| encode_engine_section(self, out))
     }
 
     /// Restores a [`checkpoint`](Self::checkpoint) image onto this engine,
@@ -702,9 +504,7 @@ impl BankEngine {
     /// configuration mismatch, or a non-fresh target. On error the engine
     /// may hold partial state and must be discarded.
     pub fn restore(&mut self, image: &[u8]) -> io::Result<()> {
-        let body = verify_sealed(image)?;
-        let mut r = ByteReader::new(body);
-        read_header(&mut r, SCOPE_ENGINE)?;
+        let mut r = open_image(image, SCOPE_ENGINE)?;
         decode_engine_section(self, &mut r)?;
         r.finish()
     }
@@ -718,8 +518,8 @@ impl MemorySystem {
     ///
     /// [`io::ErrorKind::InvalidData`] if accesses are still staged
     /// (call [`flush`](MemorySystem::flush) first) or the system is not at
-    /// an epoch cut; [`io::ErrorKind::Unsupported`] for boxed external
-    /// schemes.
+    /// an epoch cut; [`io::ErrorKind::Unsupported`] if a bank holds a PRA
+    /// scheme whose PRNG backend cannot capture its state.
     pub fn checkpoint(&self) -> io::Result<Vec<u8>> {
         if !self.staged.is_empty() {
             return Err(bad(format!(
@@ -727,17 +527,8 @@ impl MemorySystem {
                 self.staged.len()
             )));
         }
-        if !aligned(self.accesses, self.epoch_len) {
-            return Err(bad(format!(
-                "checkpoint off the epoch cut: {} accesses with {:?}-access epochs",
-                self.accesses, self.epoch_len
-            )));
-        }
-        let mut out = Vec::new();
-        put_header(&mut out, SCOPE_SYSTEM);
-        encode_system_section(self, &mut out)?;
-        seal(&mut out);
-        Ok(out)
+        at_cut(self.accesses, self.epoch_len)?;
+        sealed_image(SCOPE_SYSTEM, |out| encode_system_section(self, out))
     }
 
     /// Restores a [`checkpoint`](Self::checkpoint) image onto this system,
@@ -752,9 +543,7 @@ impl MemorySystem {
     /// configuration mismatch, or a non-fresh target. On error the system
     /// may hold partial state and must be discarded.
     pub fn restore(&mut self, image: &[u8]) -> io::Result<()> {
-        let body = verify_sealed(image)?;
-        let mut r = ByteReader::new(body);
-        read_header(&mut r, SCOPE_SYSTEM)?;
+        let mut r = open_image(image, SCOPE_SYSTEM)?;
         decode_system_section(self, &mut r)?;
         r.finish()
     }
@@ -814,10 +603,11 @@ fn write_checkpoint_file(dir: &Path, image: &[u8]) -> io::Result<()> {
 }
 
 /// The append-only record log pairing a checkpoint image: `CATL` magic +
-/// version + the global access position of the first record, then raw
-/// packed records ([`pack_record`] layout). Batches are appended and
-/// synced *before* they are processed, so after a crash the log always
-/// covers everything the engine state could contain.
+/// version + the global access and epoch position of the first record,
+/// then raw packed records ([`pack_record`] layout) interleaved with
+/// epoch-cut marker words. Batches are appended and synced *before* they
+/// are processed, so after a crash the log always covers everything the
+/// engine state could contain.
 #[derive(Debug)]
 pub(crate) struct TraceLog {
     file: fs::File,
@@ -836,49 +626,38 @@ impl TraceLog {
         expected_epochs: u64,
     ) -> io::Result<TraceLog> {
         let path = dir.join(TRACE_LOG_FILE);
-        let existing = match fs::OpenOptions::new().read(true).write(true).open(&path) {
-            Ok(f) => Some(f),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+        let mut file = match fs::OpenOptions::new().read(true).write(true).open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                let mut log = TraceLog {
+                    file: fs::File::create(&path)?,
+                    buf: Vec::new(),
+                };
+                log.write_header(expected_end, expected_epochs)?;
+                return Ok(log);
+            }
             Err(e) => return Err(e),
         };
-        let Some(mut file) = existing else {
-            let mut log = TraceLog {
-                file: fs::File::create(&path)?,
-                buf: Vec::new(),
-            };
-            log.write_header(expected_end, expected_epochs)?;
-            return Ok(log);
-        };
-        let mut header = [0u8; LOG_HEADER_BYTES as usize];
-        file.read_exact(&mut header)
-            .map_err(|e| bad(format!("trace log header: {e}")))?;
-        if header[0..4] != LOG_MAGIC {
-            return Err(bad(format!("bad trace log magic {:02x?}", &header[0..4])));
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != LOG_VERSION {
+        let (base, base_epochs) = read_log_header(&mut file)?;
+        if base_epochs > expected_epochs {
             return Err(bad(format!(
-                "trace log version {version}, this build reads {LOG_VERSION}"
+                "trace log starts at epoch {base_epochs}, after the system's epoch {expected_epochs}"
             )));
         }
-        let mut base = [0u8; 8];
-        base.copy_from_slice(&header[6..14]);
-        let base = u64::from_le_bytes(base);
+        let header = LOG_HEADER_BYTES as u64;
         let len = file.metadata()?.len();
-        let words = (len - LOG_HEADER_BYTES) / 8;
         // Drop a torn trailing word from a crash mid-append.
-        let whole = LOG_HEADER_BYTES + words * 8;
+        let whole = header + (len - header) / 8 * 8;
         if whole != len {
             file.set_len(whole)?;
         }
         // Cut markers occupy words but carry no access, so the position
         // arithmetic counts only record words.
-        file.seek(SeekFrom::Start(LOG_HEADER_BYTES))?;
+        file.seek(SeekFrom::Start(header))?;
         let mut records = 0u64;
         {
             let mut r = io::BufReader::new(&file);
-            let mut rec = [0u8; 8];
-            while let Some(word) = read_log_record(&mut r, &mut rec)? {
+            while let Some(word) = read_log_record(&mut r)? {
                 if word != CUT_MARKER {
                     records += 1;
                 }
@@ -887,7 +666,7 @@ impl TraceLog {
         if base.saturating_add(records) != expected_end {
             return Err(bad(format!(
                 "trace log covers accesses {base}..{}, system is at {expected_end}",
-                base + records
+                base.saturating_add(records)
             )));
         }
         file.seek(SeekFrom::End(0))?;
@@ -899,8 +678,7 @@ impl TraceLog {
 
     fn write_header(&mut self, base: u64, base_epochs: u64) -> io::Result<()> {
         self.buf.clear();
-        self.buf.extend_from_slice(&LOG_MAGIC);
-        put_u16(&mut self.buf, LOG_VERSION);
+        put_header(&mut self.buf, LOG_MAGIC, LOG_VERSION);
         put_u64(&mut self.buf, base);
         put_u64(&mut self.buf, base_epochs);
         self.file.write_all(&self.buf)?;
@@ -913,8 +691,7 @@ impl TraceLog {
         self.buf.clear();
         self.buf.reserve(batch.len() * 8);
         for &(bank, row) in batch {
-            self.buf
-                .extend_from_slice(&pack_record(bank, row).to_le_bytes());
+            put_u64(&mut self.buf, pack_record(bank, row));
         }
         self.file.write_all(&self.buf)?;
         self.file.sync_data()
@@ -939,18 +716,25 @@ impl TraceLog {
     }
 }
 
+/// Reads and checks a trace-log header, returning its base access and
+/// epoch counts. A short or foreign header is
+/// [`io::ErrorKind::InvalidData`].
+fn read_log_header(r: &mut impl Read) -> io::Result<(u64, u64)> {
+    let header: [u8; LOG_HEADER_BYTES] =
+        read_array(r).map_err(|e| bad(format!("trace log header: {e}")))?;
+    let mut h = ByteReader::new(&header);
+    h.header(LOG_MAGIC, LOG_VERSION, "trace log")?;
+    Ok((h.u64("base access count")?, h.u64("base epoch count")?))
+}
+
 /// Reads one packed record; `Ok(None)` at a clean end **or** a torn
 /// trailing record (a crash mid-append truncates to whole records).
-fn read_log_record(r: &mut impl Read, rec: &mut [u8; 8]) -> io::Result<Option<u64>> {
-    let mut got = 0usize;
-    while got < 8 {
-        let n = r.read(&mut rec[got..])?;
-        if n == 0 {
-            return Ok(None);
-        }
-        got += n;
+fn read_log_record(r: &mut impl Read) -> io::Result<Option<u64>> {
+    match read_array(r) {
+        Ok(word) => Ok(Some(u64::from_le_bytes(word))),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(e),
     }
-    Ok(Some(u64::from_le_bytes(*rec)))
 }
 
 /// Replays the trace log tail past the system's current position; returns
@@ -962,28 +746,7 @@ fn replay_log(system: &mut MemorySystem, path: &Path) -> io::Result<u64> {
         Err(e) => return Err(e),
     };
     let mut r = io::BufReader::new(file);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)
-        .map_err(|e| bad(format!("trace log header: {e}")))?;
-    if magic != LOG_MAGIC {
-        return Err(bad(format!("bad trace log magic {magic:02x?}")));
-    }
-    let mut v = [0u8; 2];
-    r.read_exact(&mut v)
-        .map_err(|e| bad(format!("trace log header: {e}")))?;
-    let version = u16::from_le_bytes(v);
-    if version != LOG_VERSION {
-        return Err(bad(format!(
-            "trace log version {version}, this build reads {LOG_VERSION}"
-        )));
-    }
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)
-        .map_err(|e| bad(format!("trace log header: {e}")))?;
-    let base = u64::from_le_bytes(b);
-    r.read_exact(&mut b)
-        .map_err(|e| bad(format!("trace log header: {e}")))?;
-    let base_epochs = u64::from_le_bytes(b);
+    let (base, base_epochs) = read_log_header(&mut r)?;
     if base > system.accesses() {
         return Err(bad(format!(
             "trace log starts at access {base}, after the checkpoint position {}",
@@ -1006,8 +769,7 @@ fn replay_log(system: &mut MemorySystem, path: &Path) -> io::Result<u64> {
     let rows = system.geometry().rows_per_bank;
     let mut chunk: Vec<(u32, u32)> = Vec::with_capacity(REPLAY_CHUNK);
     let mut replayed = 0u64;
-    let mut rec = [0u8; 8];
-    while let Some(packed) = read_log_record(&mut r, &mut rec)? {
+    while let Some(packed) = read_log_record(&mut r)? {
         if packed == CUT_MARKER {
             if skip_cuts > 0 {
                 skip_cuts -= 1;
@@ -1476,6 +1238,25 @@ mod tests {
             let err = target.restore(&corrupt).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "offset {off}");
         }
+    }
+
+    #[test]
+    fn open_for_append_refuses_a_log_starting_past_the_epoch() {
+        // A header whose base access count lines up but whose base epoch
+        // count is past the system's: replay would refuse this log, so
+        // appending a session to it must fail up front.
+        let dir = temp_dir("forged-epochs");
+        let mut header = Vec::new();
+        put_header(&mut header, LOG_MAGIC, LOG_VERSION);
+        put_u64(&mut header, 1000);
+        put_u64(&mut header, 99);
+        fs::write(dir.join(TRACE_LOG_FILE), &header).unwrap();
+        let err = TraceLog::open_for_append(&dir, 1000, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("epoch 99"), "{err}");
+        // The same header at the system's epoch opens.
+        TraceLog::open_for_append(&dir, 1000, 99).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     fn temp_dir(name: &str) -> PathBuf {

@@ -65,6 +65,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{JoinHandle, Thread};
 
 use crate::checkpoint::{drain_with_checkpoints, CheckpointConfig};
+use crate::codec::bad;
 use crate::wire::{self, Frame, FrameHeader, ServerHello, StatsSnapshot};
 use crate::{BatchOutcome, GeometrySlice, MemorySystem};
 
@@ -887,16 +888,12 @@ pub(crate) fn accept_producers(
         let (mut stream, peer) = listener.accept()?;
         let id = wire::read_client_hello(&mut stream)? as usize;
         let slot = connections.get_mut(id).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{peer} claimed producer id {id}, session has {producers} producers"),
-            )
+            bad(format!(
+                "{peer} claimed producer id {id}, session has {producers} producers"
+            ))
         })?;
         if slot.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{peer} claimed producer id {id} twice"),
-            ));
+            return Err(bad(format!("{peer} claimed producer id {id} twice")));
         }
         wire::write_server_hello(&mut stream, hello)?;
         *slot = Some(stream);
@@ -937,10 +934,9 @@ pub(crate) fn read_connection(
         match wire::read_frame_header(&mut reader)? {
             FrameHeader::Records { seq, count } => {
                 if seq != expected_seq {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("producer {peer}: sequence {seq}, expected {expected_seq}"),
-                    ));
+                    return Err(bad(format!(
+                        "producer {peer}: sequence {seq}, expected {expected_seq}"
+                    )));
                 }
                 expected_seq += 1;
                 producer
@@ -960,13 +956,10 @@ pub(crate) fn read_connection(
                         !owned.contains(bank) || row >= rows
                     }) {
                         let (bank, row) = wire::unpack_record(offending);
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "producer {peer}: record (bank {bank}, row {row}) out of range \
-                                 for a backend owning {owned} with {rows}-row banks"
-                            ),
-                        ));
+                        return Err(bad(format!(
+                            "producer {peer}: record (bank {bank}, row {row}) out of range \
+                             for a backend owning {owned} with {rows}-row banks"
+                        )));
                     }
                     producer
                         .write_packed(&packed)
@@ -988,31 +981,18 @@ pub(crate) fn read_connection(
                     ));
                 }
             },
-            FrameHeader::Restore { len } => {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    format!(
-                        "producer {peer}: {len}-byte restore image refused mid-session \
-                         — recover at startup via --resume"
-                    ),
-                ));
-            }
             FrameHeader::EpochCut { seq } => {
                 if seq != expected_seq {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("producer {peer}: sequence {seq}, expected {expected_seq}"),
-                    ));
+                    return Err(bad(format!(
+                        "producer {peer}: sequence {seq}, expected {expected_seq}"
+                    )));
                 }
                 expected_seq += 1;
                 if !cuts_allowed {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "producer {peer}: stream epoch cut, but the server fires its \
-                             own epoch boundaries"
-                        ),
-                    ));
+                    return Err(bad(format!(
+                        "producer {peer}: stream epoch cut, but the server fires its \
+                         own epoch boundaries"
+                    )));
                 }
                 producer
                     .send_cut()

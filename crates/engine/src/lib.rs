@@ -96,6 +96,7 @@
 
 mod address;
 pub mod checkpoint;
+mod codec;
 pub mod ingest;
 pub mod router;
 mod sparse;

@@ -37,6 +37,7 @@ use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::thread::JoinHandle;
 
+use crate::codec::bad;
 use crate::ingest::{accept_producers, read_connection, IngestClient, IngestEvent, IngestQueue};
 use crate::wire::{self, ServerHello, StatsSnapshot};
 use crate::{GeometrySlice, Partition};
@@ -87,10 +88,6 @@ pub struct RouterReport {
     pub per_backend: Vec<StatsSnapshot>,
     /// Client connections that requested (and were sent) the snapshot.
     pub stats_served: usize,
-}
-
-fn bad(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Splits a record stream across the backends of a [`Partition`] — the
@@ -158,7 +155,7 @@ impl IngestRouter {
             )));
         }
         if options.epoch_len == Some(0) {
-            return Err(bad("epoch length 0: use None to run clockless".into()));
+            return Err(bad("epoch length 0: use None to run clockless"));
         }
         let mut clients = Vec::with_capacity(backends.len());
         let mut spec: Option<String> = None;
@@ -181,7 +178,7 @@ impl IngestRouter {
                 return Err(bad(format!(
                     "backend {id}: owns banks {}..{}, fleet slot {id} is {slice}",
                     hello.slice_start,
-                    hello.slice_start + hello.slice_banks
+                    u64::from(hello.slice_start) + u64::from(hello.slice_banks)
                 )));
             }
             if let Some(n) = hello.epoch_len {
@@ -218,7 +215,7 @@ impl IngestRouter {
             start_accesses += hello.accesses;
             clients.push(client);
         }
-        let spec = spec.ok_or_else(|| bad("a partition has at least one slice".into()))?;
+        let spec = spec.ok_or_else(|| bad("a partition has at least one slice"))?;
         let start_epochs = start_epochs.unwrap_or(0);
         Ok(IngestRouter {
             pending: (0..partition.len()).map(|_| Vec::new()).collect(),
@@ -331,7 +328,7 @@ impl IngestRouter {
     pub fn cut(&mut self) -> io::Result<()> {
         if self.epoch_len.is_some() {
             return Err(bad(
-                "stream epoch cut, but the router fires its own epoch boundaries".into(),
+                "stream epoch cut, but the router fires its own epoch boundaries",
             ));
         }
         self.cut_fleet()
@@ -436,7 +433,7 @@ pub fn serve<A: ToSocketAddrs>(
     options: &RouterOptions,
 ) -> io::Result<RouterReport> {
     if options.producers < 1 {
-        return Err(bad("serve needs at least one producer".into()));
+        return Err(bad("serve needs at least one producer"));
     }
     // Backends first: a misconfigured fleet must fail before any client
     // is accepted (and a slow-starting backend is awaited here, not

@@ -437,13 +437,6 @@ impl MemorySystem {
         }
     }
 
-    /// Stages every address of `addrs` in order (see [`push`](Self::push)).
-    pub fn push_iter(&mut self, addrs: impl IntoIterator<Item = u64>) {
-        for addr in addrs {
-            self.push(addr);
-        }
-    }
-
     /// Accesses currently staged and not yet processed.
     pub fn pending(&self) -> usize {
         self.staged.len()
@@ -543,13 +536,6 @@ impl MemorySystem {
     pub fn process(&mut self, batch: &[(u32, u32)]) -> BatchOutcome {
         self.flush_staged();
         self.process_batch(batch)
-    }
-
-    /// Decodes and processes a batch of physical addresses (see
-    /// [`process`](Self::process)).
-    pub fn process_addrs(&mut self, addrs: &[u64]) -> BatchOutcome {
-        let batch: Vec<(u32, u32)> = addrs.iter().map(|&a| self.decode(a)).collect();
-        self.process(&batch)
     }
 
     /// The cut-aware batch core: computes the global cut list once,
@@ -690,7 +676,7 @@ impl MemorySystem {
     pub fn activate_global(&mut self, bank: u32, row: u32) -> Refreshes {
         assert!(
             self.epoch_len.is_none(),
-            "MemorySystem::activate_global/activate_in_channel cannot be mixed with \
+            "MemorySystem::activate_global cannot be mixed with \
              access-count epoch accounting (with_epoch_length): the access would shift \
              the batched epoch phase. Drive epochs from your own clock via end_epoch() \
              instead."
@@ -706,15 +692,6 @@ impl MemorySystem {
         self.accesses += 1;
         let (idx, local) = self.route_engine(bank);
         self.engines[idx].activate(local as usize, row)
-    }
-
-    /// [`activate_global`](Self::activate_global) addressed as
-    /// `(channel, bank-in-channel)` — the coordinates the per-channel
-    /// memory controllers use.
-    #[inline]
-    pub fn activate_in_channel(&mut self, channel: usize, bank: usize, row: u32) -> Refreshes {
-        let bpc = self.geometry.banks_per_channel();
-        self.activate_global(channel as u32 * bpc + bank as u32, row)
     }
 
     /// Signals an auto-refresh epoch boundary to every bank of every
@@ -1035,7 +1012,7 @@ mod tests {
         let mut system = MemorySystem::new(geometry(), SchemeSpec::None);
         let addr = system.mapping().encode_line(1, 0, 3, 42, 0);
         assert_eq!(system.decode(addr), (11, 42));
-        system.process_addrs(&[addr, addr, addr]);
+        system.process(&[system.decode(addr); 3]);
         assert_eq!(system.activations_per_bank()[11], 3);
         assert_eq!(system.accesses(), 3);
     }
@@ -1083,7 +1060,7 @@ mod tests {
     }
 
     #[test]
-    fn push_iter_decodes_like_process_addrs() {
+    fn push_decodes_like_process_of_decoded_pairs() {
         let spec = SchemeSpec::Sca {
             counters: 16,
             threshold: 16,
@@ -1096,8 +1073,11 @@ mod tests {
                     .encode_line((i % 2) as u32, 0, (i % 8) as u32, 1234, 0)
             })
             .collect();
-        a.process_addrs(&addrs);
-        b.push_iter(addrs.iter().copied());
+        let decoded: Vec<(u32, u32)> = addrs.iter().map(|&addr| a.decode(addr)).collect();
+        a.process(&decoded);
+        for &addr in &addrs {
+            b.push(addr);
+        }
         b.flush();
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.activations_per_bank(), b.activations_per_bank());
@@ -1134,9 +1114,11 @@ mod tests {
             threshold: 4,
         };
         let mut system = MemorySystem::new(geometry(), spec);
+        // Bank 2 of channel 1, addressed globally.
+        let bank = geometry().banks_per_channel() + 2;
         let mut rows = 0u64;
         for _ in 0..16 {
-            rows += system.activate_in_channel(1, 2, 123).total_rows();
+            rows += system.activate_global(bank, 123).total_rows();
         }
         system.end_epoch();
         assert!(rows > 0);

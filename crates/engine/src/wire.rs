@@ -6,7 +6,9 @@
 //! serde, no protobuf, no async runtime. The format is deliberately dumb:
 //! fixed-width integers, one-byte frame tags, length-prefixed payloads with
 //! hard caps, and an explicit version number in the handshake so the format
-//! can evolve without silently misparsing old peers.
+//! can evolve without silently misparsing old peers. Messages go through
+//! the byte codec shared with [`crate::checkpoint`]: encoded into a buffer
+//! sent with one `write_all`, fixed-size parts read with one `read_exact`.
 //!
 //! ## Session layout
 //!
@@ -18,7 +20,7 @@
 //!   │  ServerHello {magic, version,        │
 //!   │    geometry, spec, epoch_len}        │
 //!   ◄──────────────────────────────────────┤
-//!   │  Frame::Records {seq, (bank,row)*}   │  any number, seq = 0,1,2,…
+//!   │  Records {seq, (bank,row)*}          │  any number, seq = 0,1,2,…
 //!   ├──────────────────────────────────────►
 //!   │  Frame::Checkpoint    (optional)     │  any number, any time
 //!   ├──────────────────────────────────────►
@@ -31,19 +33,19 @@
 //!   ◄──────────────────────────────────────┤
 //! ```
 //!
-//! Each producer numbers its `Records` frames consecutively from zero; the
-//! server verifies the sequence and feeds the frames to the deterministic
-//! merge in [`crate::ingest`]. Malformed input is reported as
-//! [`std::io::Error`] with [`std::io::ErrorKind::InvalidData`] — a protocol
-//! violation and a truncated stream are both connection-fatal.
+//! Each producer numbers its records frames ([`encode_records`])
+//! consecutively from zero; the server verifies the sequence and feeds the
+//! frames to the deterministic merge in [`crate::ingest`]. Malformed input
+//! is reported as [`std::io::Error`] with
+//! [`std::io::ErrorKind::InvalidData`] — a protocol violation and a
+//! truncated stream are both connection-fatal.
 //!
-//! Version 2 adds the checkpointing frames (`DESIGN.md §11`):
+//! Version 2 adds the checkpoint request (`DESIGN.md §11`):
 //! [`Frame::Checkpoint`] asks a checkpointing server to publish an image
 //! at the next epoch cut (a no-op tagged byte; servers without
-//! `--checkpoint-dir` refuse it), and [`Frame::Restore`] carries a
-//! checkpoint image inline — defined for symmetry and tooling, but `catd`
-//! refuses it mid-session: recovery happens at startup via `--resume`,
-//! never on a live system.
+//! `--checkpoint-dir` refuse it). Recovery happens at startup via
+//! `--resume`, never on a live system, so no frame carries an image: tag
+//! `0x05`, once an inline restore image, is refused as an unknown tag.
 //!
 //! Version 3 adds the partitioned datapath (`DESIGN.md §12`): the
 //! [`ServerHello`] advertises the bank slice the backend owns
@@ -61,6 +63,9 @@ use std::io::{self, Read, Write};
 
 use cat_core::SchemeStats;
 
+use crate::codec::{
+    bad, put_geometry, put_header, put_str, put_u32, put_u64, read_array, ByteReader,
+};
 use crate::MemGeometry;
 
 /// Protocol magic, first bytes of both hello messages ("CAT wire").
@@ -68,21 +73,18 @@ pub const MAGIC: [u8; 4] = *b"CATW";
 
 /// Wire format version. Bump on any incompatible change; peers with a
 /// different version refuse the handshake instead of misparsing frames.
-/// Version 2 added the [`Frame::Checkpoint`] and [`Frame::Restore`]
-/// kinds; version 3 added the [`ServerHello`] slice fields,
+/// Version 2 added [`Frame::Checkpoint`] (and an inline restore frame,
+/// since dropped); version 3 added the [`ServerHello`] slice fields,
 /// [`Frame::EpochCut`], and the [`StatsSnapshot`] footprint counters.
 pub const VERSION: u16 = 3;
 
-/// Hard cap on records per [`Frame::Records`] — bounds the allocation a
-/// malformed (or malicious) length prefix can force on the receiver.
+/// Hard cap on records per records frame ([`encode_records`]) — bounds
+/// the allocation a malformed (or malicious) length prefix can force on
+/// the receiver.
 pub const MAX_RECORDS_PER_FRAME: u32 = 1 << 20;
 
 /// Hard cap on the spec string length in a [`ServerHello`].
 pub const MAX_SPEC_LEN: u16 = 1024;
-
-/// Hard cap on the image carried by a [`Frame::Restore`] — bounds the
-/// allocation a forged length prefix can force on the receiver.
-pub const MAX_RESTORE_BYTES: u32 = 1 << 26;
 
 /// Bytes of one `(bank, row)` record on the wire. A record's 8 wire bytes
 /// read as one little-endian `u64` **are** its [`pack_record`] value —
@@ -107,55 +109,6 @@ pub fn unpack_record(packed: u64) -> (u32, u32) {
     (packed as u32, (packed >> 32) as u32)
 }
 
-fn bad(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
-
-fn write_u16<W: Write>(w: &mut W, v: u16) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u16<R: Read>(r: &mut R) -> io::Result<u16> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_magic_version<R: Read>(r: &mut R, who: &str) -> io::Result<()> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(bad(format!("{who}: bad magic {magic:02x?}")));
-    }
-    let version = read_u16(r)?;
-    if version != VERSION {
-        return Err(bad(format!(
-            "{who}: wire version {version}, this peer speaks {VERSION}"
-        )));
-    }
-    Ok(())
-}
-
 /// Writes the client's opening handshake: magic + version + the
 /// **producer id** this connection claims (its tie-break rank in the
 /// deterministic merge, `DESIGN.md §8`). The id is chosen by the client —
@@ -164,9 +117,10 @@ fn read_magic_version<R: Read>(r: &mut R, who: &str) -> io::Result<()> {
 /// ids must form a permutation of `0..producers`; the server rejects
 /// duplicates and out-of-range claims.
 pub fn write_client_hello<W: Write>(w: &mut W, producer_id: u32) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    write_u16(w, VERSION)?;
-    write_u32(w, producer_id)
+    let mut buf = Vec::with_capacity(10);
+    put_header(&mut buf, MAGIC, VERSION);
+    put_u32(&mut buf, producer_id);
+    w.write_all(&buf)
 }
 
 /// Reads and validates a client hello, returning the claimed producer id.
@@ -176,8 +130,11 @@ pub fn write_client_hello<W: Write>(w: &mut W, producer_id: u32) -> io::Result<(
 /// [`io::ErrorKind::InvalidData`] on a magic or version mismatch; I/O
 /// errors pass through.
 pub fn read_client_hello<R: Read>(r: &mut R) -> io::Result<u32> {
-    read_magic_version(r, "client hello")?;
-    read_u32(r)
+    // Magic + version first: a peer speaking another version is refused
+    // before its body is read.
+    ByteReader::new(&read_array::<6, _>(r)?).header(MAGIC, VERSION, "client hello")?;
+    let id: [u8; 4] = read_array(r)?;
+    ByteReader::new(&id).u32("producer id")
 }
 
 /// The server's half of the handshake: what the [`crate::MemorySystem`]
@@ -216,30 +173,16 @@ pub struct ServerHello {
 /// [`io::ErrorKind::InvalidData`] if the spec string exceeds
 /// [`MAX_SPEC_LEN`]; I/O errors pass through.
 pub fn write_server_hello<W: Write>(w: &mut W, hello: &ServerHello) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    write_u16(w, VERSION)?;
-    let g = &hello.geometry;
-    for field in [
-        g.channels,
-        g.ranks_per_channel,
-        g.banks_per_rank,
-        g.rows_per_bank,
-        g.lines_per_row,
-        g.line_bytes,
-    ] {
-        write_u32(w, field)?;
-    }
-    write_u32(w, hello.slice_start)?;
-    write_u32(w, hello.slice_banks)?;
-    let spec = hello.spec.as_bytes();
-    if spec.len() > usize::from(MAX_SPEC_LEN) {
-        return Err(bad(format!("spec string of {} bytes", spec.len())));
-    }
-    write_u16(w, spec.len() as u16)?;
-    w.write_all(spec)?;
-    write_u64(w, hello.epoch_len.unwrap_or(0))?;
-    write_u64(w, hello.accesses)?;
-    write_u64(w, hello.epochs)
+    let mut buf = Vec::new();
+    put_header(&mut buf, MAGIC, VERSION);
+    put_geometry(&mut buf, &hello.geometry);
+    put_u32(&mut buf, hello.slice_start);
+    put_u32(&mut buf, hello.slice_banks);
+    put_str(&mut buf, &hello.spec, MAX_SPEC_LEN, "spec string")?;
+    put_u64(&mut buf, hello.epoch_len.unwrap_or(0));
+    put_u64(&mut buf, hello.accesses);
+    put_u64(&mut buf, hello.epochs);
+    w.write_all(&buf)
 }
 
 /// Reads and validates a server hello (an epoch length of `0` decodes as
@@ -250,57 +193,37 @@ pub fn write_server_hello<W: Write>(w: &mut W, hello: &ServerHello) -> io::Resul
 /// [`io::ErrorKind::InvalidData`] on magic/version mismatch or an
 /// oversized or non-UTF-8 spec string; I/O errors pass through.
 pub fn read_server_hello<R: Read>(r: &mut R) -> io::Result<ServerHello> {
-    read_magic_version(r, "server hello")?;
-    let mut fields = [0u32; 6];
-    for f in &mut fields {
-        *f = read_u32(r)?;
-    }
-    let geometry = MemGeometry {
-        channels: fields[0],
-        ranks_per_channel: fields[1],
-        banks_per_rank: fields[2],
-        rows_per_bank: fields[3],
-        lines_per_row: fields[4],
-        line_bytes: fields[5],
-    };
-    let slice_start = read_u32(r)?;
-    let slice_banks = read_u32(r)?;
-    let len = read_u16(r)?;
-    if len > MAX_SPEC_LEN {
-        return Err(bad(format!("spec string of {len} bytes")));
-    }
-    let mut spec = vec![0u8; usize::from(len)];
-    r.read_exact(&mut spec)?;
-    let spec = String::from_utf8(spec).map_err(|e| bad(format!("spec not UTF-8: {e}")))?;
-    let epoch_len = match read_u64(r)? {
+    ByteReader::new(&read_array::<6, _>(r)?).header(MAGIC, VERSION, "server hello")?;
+    // Geometry, slice and spec length; the spec length sizes the rest.
+    let fixed: [u8; 6 * 4 + 4 + 4 + 2] = read_array(r)?;
+    let mut head = ByteReader::new(&fixed);
+    let geometry = head.geometry()?;
+    let slice_start = head.u32("slice start")?;
+    let slice_banks = head.u32("slice banks")?;
+    let spec_len = head.str_len(MAX_SPEC_LEN, "spec string")?;
+    let mut rest = vec![0u8; spec_len + 3 * 8];
+    r.read_exact(&mut rest)?;
+    let mut tail = ByteReader::new(&rest);
+    let spec = tail.str_body(spec_len, "spec string")?.to_owned();
+    let epoch_len = match tail.u64("epoch length")? {
         0 => None,
         n => Some(n),
     };
-    let accesses = read_u64(r)?;
-    let epochs = read_u64(r)?;
     Ok(ServerHello {
         geometry,
         slice_start,
         slice_banks,
         spec,
         epoch_len,
-        accesses,
-        epochs,
+        accesses: tail.u64("accesses")?,
+        epochs: tail.u64("epochs")?,
     })
 }
 
-/// One client → server frame after the handshake.
+/// One payload-free client → server control frame after the handshake.
+/// Record batches go out through [`encode_records`] instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// A batch of `(global bank, row)` activations in stream order, tagged
-    /// with this producer's consecutive sequence number (the key of the
-    /// deterministic merge — `DESIGN.md §8`).
-    Records {
-        /// Producer-local sequence number: 0 for the first frame, then +1.
-        seq: u64,
-        /// The activations, in the order the producer observed them.
-        records: Vec<(u32, u32)>,
-    },
     /// Ask the server to send a [`StatsSnapshot`] once ingestion completes
     /// (i.e. after *every* producer has finished).
     StatsRequest,
@@ -310,22 +233,15 @@ pub enum Frame {
     /// next epoch cut (`DESIGN.md §11`). Servers without checkpointing
     /// configured refuse the frame (connection-fatal).
     Checkpoint,
-    /// A checkpoint image, inline. `catd` refuses this mid-session
-    /// (recovery happens at startup via `--resume`); the frame exists so
-    /// offline tooling can ship images over the same framing.
-    Restore {
-        /// The sealed checkpoint image (≤ [`MAX_RESTORE_BYTES`]).
-        image: Vec<u8>,
-    },
     /// An epoch boundary in the producer's record stream (`DESIGN.md
     /// §12`): the router owns the fleet's epoch clock and delivers each
     /// cut to every backend at the exact stream position it fired, so
     /// clockless backends count epochs bit-identically to a single host.
-    /// Shares the producer's sequence space with `Records` so its
+    /// Shares the producer's sequence space with records frames so its
     /// position survives the deterministic merge. Servers that fire their
     /// own epoch boundaries refuse the frame (connection-fatal).
     EpochCut {
-        /// Producer-local sequence number, shared with `Records` frames.
+        /// Producer-local sequence number, shared with records frames.
         seq: u64,
     },
 }
@@ -334,33 +250,12 @@ const TAG_RECORDS: u8 = 0x01;
 const TAG_STATS_REQUEST: u8 = 0x02;
 const TAG_FINISH: u8 = 0x03;
 const TAG_CHECKPOINT: u8 = 0x04;
-const TAG_RESTORE: u8 = 0x05;
 const TAG_EPOCH_CUT: u8 = 0x06;
 
-/// Writes a [`Frame::Records`] directly from a slice (no intermediate
-/// `Vec`) — the form the streaming clients use.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] if `records` exceeds
-/// [`MAX_RECORDS_PER_FRAME`]; I/O errors pass through.
-pub fn write_records<W: Write>(w: &mut W, seq: u64, records: &[(u32, u32)]) -> io::Result<()> {
-    if records.len() > MAX_RECORDS_PER_FRAME as usize {
-        return Err(bad(format!("{}-record frame", records.len())));
-    }
-    w.write_all(&[TAG_RECORDS])?;
-    write_u64(w, seq)?;
-    write_u32(w, records.len() as u32)?;
-    for &(bank, row) in records {
-        write_u64(w, pack_record(bank, row))?;
-    }
-    Ok(())
-}
-
-/// Encodes a [`Frame::Records`] into `buf` (cleared first) — the
-/// buffer-reusing counterpart of [`write_records`] for clients that stream
-/// many frames over one connection: after the first call at a given batch
-/// size, encoding allocates nothing.
+/// Encodes a records frame into `buf` (cleared first): tag, sequence
+/// number, record count, then the packed records. Clients that stream
+/// many frames over one connection reuse `buf`: after the first call at
+/// a given batch size, encoding allocates nothing.
 ///
 /// # Errors
 ///
@@ -381,42 +276,33 @@ pub fn encode_records(buf: &mut Vec<u8>, seq: u64, records: &[(u32, u32)]) -> io
     Ok(())
 }
 
-/// Writes one frame.
+/// Writes one control frame.
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidData`] if a `Records` frame exceeds
-/// [`MAX_RECORDS_PER_FRAME`] or a `Restore` image exceeds
-/// [`MAX_RESTORE_BYTES`]; I/O errors pass through.
+/// Propagates I/O errors from the writer.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(1 + 8);
     match frame {
-        Frame::Records { seq, records } => write_records(w, *seq, records),
-        Frame::StatsRequest => w.write_all(&[TAG_STATS_REQUEST]),
-        Frame::Finish => w.write_all(&[TAG_FINISH]),
-        Frame::Checkpoint => w.write_all(&[TAG_CHECKPOINT]),
-        Frame::Restore { image } => {
-            if image.len() > MAX_RESTORE_BYTES as usize {
-                return Err(bad(format!("{}-byte restore image", image.len())));
-            }
-            w.write_all(&[TAG_RESTORE])?;
-            write_u32(w, image.len() as u32)?;
-            w.write_all(image)
-        }
+        Frame::StatsRequest => buf.push(TAG_STATS_REQUEST),
+        Frame::Finish => buf.push(TAG_FINISH),
+        Frame::Checkpoint => buf.push(TAG_CHECKPOINT),
         Frame::EpochCut { seq } => {
-            w.write_all(&[TAG_EPOCH_CUT])?;
-            write_u64(w, *seq)
+            buf.push(TAG_EPOCH_CUT);
+            put_u64(&mut buf, *seq);
         }
     }
+    w.write_all(&buf)
 }
 
-/// The header of one post-handshake frame, with a `Records` payload left
+/// The header of one post-handshake frame, with a records payload left
 /// **unread** on the stream. This is the zero-copy server's entry point:
 /// it reads the header, then pulls the payload in ring-sized chunks with
-/// [`read_packed_records`] instead of materialising a `Vec<(u32, u32)>`
-/// per frame like [`read_frame`] does.
+/// [`read_packed_records`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameHeader {
-    /// A [`Frame::Records`] header; `count` records follow on the stream.
+    /// A records frame header ([`encode_records`]); `count` records follow
+    /// on the stream.
     Records {
         /// Producer-local sequence number: 0 for the first frame, then +1.
         seq: u64,
@@ -429,15 +315,9 @@ pub enum FrameHeader {
     Finish,
     /// A [`Frame::Checkpoint`] (no payload).
     Checkpoint,
-    /// A [`Frame::Restore`] header; `len` image bytes follow on the
-    /// stream (≤ [`MAX_RESTORE_BYTES`]).
-    Restore {
-        /// Bytes in the unread image payload.
-        len: u32,
-    },
     /// A [`Frame::EpochCut`] (no payload beyond the sequence number).
     EpochCut {
-        /// Producer-local sequence number, shared with `Records` frames.
+        /// Producer-local sequence number, shared with records frames.
         seq: u64,
     },
 }
@@ -451,12 +331,13 @@ pub enum FrameHeader {
 /// count; I/O errors (including `UnexpectedEof` on truncation) pass
 /// through.
 pub fn read_frame_header<R: Read>(r: &mut R) -> io::Result<FrameHeader> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    match tag[0] {
+    let [tag] = read_array(r)?;
+    match tag {
         TAG_RECORDS => {
-            let seq = read_u64(r)?;
-            let count = read_u32(r)?;
+            let fixed: [u8; 8 + 4] = read_array(r)?;
+            let mut h = ByteReader::new(&fixed);
+            let seq = h.u64("sequence number")?;
+            let count = h.u32("record count")?;
             if count > MAX_RECORDS_PER_FRAME {
                 return Err(bad(format!("{count}-record frame")));
             }
@@ -465,22 +346,16 @@ pub fn read_frame_header<R: Read>(r: &mut R) -> io::Result<FrameHeader> {
         TAG_STATS_REQUEST => Ok(FrameHeader::StatsRequest),
         TAG_FINISH => Ok(FrameHeader::Finish),
         TAG_CHECKPOINT => Ok(FrameHeader::Checkpoint),
-        TAG_RESTORE => {
-            let len = read_u32(r)?;
-            if len > MAX_RESTORE_BYTES {
-                return Err(bad(format!("{len}-byte restore image")));
-            }
-            Ok(FrameHeader::Restore { len })
-        }
         TAG_EPOCH_CUT => {
-            let seq = read_u64(r)?;
+            let seq: [u8; 8] = read_array(r)?;
+            let seq = ByteReader::new(&seq).u64("sequence number")?;
             Ok(FrameHeader::EpochCut { seq })
         }
         other => Err(bad(format!("unknown frame tag {other:#04x}"))),
     }
 }
 
-/// Reads exactly `count` records of a `Records` payload into `packed`
+/// Reads exactly `count` records of a records payload into `packed`
 /// (cleared first), going through the reusable byte buffer `buf`: one
 /// `read_exact` into recycled storage, then one `u64::from_le_bytes` per
 /// record — no per-record parsing and, after the first call at a given
@@ -507,36 +382,6 @@ pub fn read_packed_records<R: Read>(
     Ok(())
 }
 
-/// Reads one frame.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] on an unknown tag or an oversized record
-/// count; I/O errors (including `UnexpectedEof` on a truncated frame) pass
-/// through.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
-    match read_frame_header(r)? {
-        FrameHeader::Records { seq, count } => {
-            let mut buf = Vec::new();
-            let mut packed = Vec::new();
-            read_packed_records(r, &mut buf, &mut packed, count as usize)?;
-            Ok(Frame::Records {
-                seq,
-                records: packed.iter().map(|&p| unpack_record(p)).collect(),
-            })
-        }
-        FrameHeader::StatsRequest => Ok(Frame::StatsRequest),
-        FrameHeader::Finish => Ok(Frame::Finish),
-        FrameHeader::Checkpoint => Ok(Frame::Checkpoint),
-        FrameHeader::Restore { len } => {
-            let mut image = vec![0u8; len as usize];
-            r.read_exact(&mut image)?;
-            Ok(Frame::Restore { image })
-        }
-        FrameHeader::EpochCut { seq } => Ok(Frame::EpochCut { seq }),
-    }
-}
-
 /// The server's reply to a [`Frame::StatsRequest`]: the system-wide state
 /// after every producer finished and the staging buffer flushed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -560,6 +405,10 @@ pub struct StatsSnapshot {
     pub scheme_bytes: u64,
 }
 
+/// Bytes of an encoded [`StatsSnapshot`]: five u64 counters plus one per
+/// [`SchemeStats`] field.
+const STATS_BYTES: usize = (5 + SchemeStats::FIELDS.len()) * 8;
+
 /// Writes a stats snapshot. The counters go out in
 /// [`SchemeStats::FIELDS`] order — the same name-checked encode table the
 /// checkpoint format uses, so a new `SchemeStats` field extends both wire
@@ -570,14 +419,16 @@ pub struct StatsSnapshot {
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_stats<W: Write>(w: &mut W, snap: &StatsSnapshot) -> io::Result<()> {
-    write_u64(w, snap.accesses)?;
-    write_u64(w, snap.epochs)?;
+    let mut buf = Vec::with_capacity(STATS_BYTES);
+    put_u64(&mut buf, snap.accesses);
+    put_u64(&mut buf, snap.epochs);
     for field in SchemeStats::FIELDS {
-        write_u64(w, (field.get)(&snap.stats))?;
+        put_u64(&mut buf, (field.get)(&snap.stats));
     }
-    write_u64(w, snap.banks)?;
-    write_u64(w, snap.materialized_banks)?;
-    write_u64(w, snap.scheme_bytes)
+    put_u64(&mut buf, snap.banks);
+    put_u64(&mut buf, snap.materialized_banks);
+    put_u64(&mut buf, snap.scheme_bytes);
+    w.write_all(&buf)
 }
 
 /// Reads a stats snapshot (see [`write_stats`] for the field order).
@@ -586,22 +437,21 @@ pub fn write_stats<W: Write>(w: &mut W, snap: &StatsSnapshot) -> io::Result<()> 
 ///
 /// Propagates I/O errors from the reader.
 pub fn read_stats<R: Read>(r: &mut R) -> io::Result<StatsSnapshot> {
-    let accesses = read_u64(r)?;
-    let epochs = read_u64(r)?;
+    let body: [u8; STATS_BYTES] = read_array(r)?;
+    let mut b = ByteReader::new(&body);
+    let accesses = b.u64("accesses")?;
+    let epochs = b.u64("epochs")?;
     let mut stats = SchemeStats::default();
     for field in SchemeStats::FIELDS {
-        (field.set)(&mut stats, read_u64(r)?);
+        (field.set)(&mut stats, b.u64(field.name)?);
     }
-    let banks = read_u64(r)?;
-    let materialized_banks = read_u64(r)?;
-    let scheme_bytes = read_u64(r)?;
     Ok(StatsSnapshot {
         accesses,
         epochs,
         stats,
-        banks,
-        materialized_banks,
-        scheme_bytes,
+        banks: b.u64("banks")?,
+        materialized_banks: b.u64("materialized banks")?,
+        scheme_bytes: b.u64("scheme bytes")?,
     })
 }
 
@@ -609,14 +459,22 @@ pub fn read_stats<R: Read>(r: &mut R) -> io::Result<StatsSnapshot> {
 mod tests {
     use super::*;
 
-    fn geometry() -> MemGeometry {
-        MemGeometry {
-            channels: 2,
-            ranks_per_channel: 1,
-            banks_per_rank: 8,
-            rows_per_bank: 4096,
-            lines_per_row: 16,
-            line_bytes: 64,
+    fn hello() -> ServerHello {
+        ServerHello {
+            geometry: MemGeometry {
+                channels: 2,
+                ranks_per_channel: 1,
+                banks_per_rank: 8,
+                rows_per_bank: 4096,
+                lines_per_row: 16,
+                line_bytes: 64,
+            },
+            slice_start: 0,
+            slice_banks: 16,
+            spec: "drcat:64:11:32768".into(),
+            epoch_len: None,
+            accesses: 110_000,
+            epochs: 2,
         }
     }
 
@@ -629,13 +487,10 @@ mod tests {
         for epoch_len in [None, Some(50_000)] {
             for (slice_start, slice_banks) in [(0, 16), (8, 8)] {
                 let hello = ServerHello {
-                    geometry: geometry(),
                     slice_start,
                     slice_banks,
-                    spec: "drcat:64:11:32768".into(),
                     epoch_len,
-                    accesses: 110_000,
-                    epochs: 2,
+                    ..hello()
                 };
                 let mut buf = Vec::new();
                 write_server_hello(&mut buf, &hello).unwrap();
@@ -658,34 +513,49 @@ mod tests {
         assert!(err.to_string().contains("version"));
     }
 
+    /// Reads one records payload of `count` records back as tuples.
+    fn read_records(r: &mut &[u8], count: u32) -> Vec<(u32, u32)> {
+        let (mut bytes, mut packed) = (Vec::new(), Vec::new());
+        read_packed_records(r, &mut bytes, &mut packed, count as usize).unwrap();
+        packed.iter().map(|&p| unpack_record(p)).collect()
+    }
+
     #[test]
     fn frames_round_trip() {
-        let frames = [
-            Frame::Records {
-                seq: 0,
-                records: vec![(0, 1), (15, 4095), (u32::MAX, u32::MAX)],
-            },
-            Frame::Records {
-                seq: u64::MAX,
-                records: Vec::new(),
-            },
-            Frame::StatsRequest,
-            Frame::Finish,
-            Frame::Checkpoint,
-            Frame::Restore {
-                image: vec![0xCA, 0x7C, 0x00, 0xFF],
-            },
-            Frame::Restore { image: Vec::new() },
-            Frame::EpochCut { seq: 17 },
-            Frame::EpochCut { seq: u64::MAX },
+        let batches = [
+            (0, vec![(0, 1), (15, 4095), (u32::MAX, u32::MAX)]),
+            (u64::MAX, Vec::new()),
         ];
-        let mut buf = Vec::new();
-        for f in &frames {
+        let frames = [
+            (Frame::StatsRequest, FrameHeader::StatsRequest),
+            (Frame::Finish, FrameHeader::Finish),
+            (Frame::Checkpoint, FrameHeader::Checkpoint),
+            (
+                Frame::EpochCut { seq: 17 },
+                FrameHeader::EpochCut { seq: 17 },
+            ),
+            (
+                Frame::EpochCut { seq: u64::MAX },
+                FrameHeader::EpochCut { seq: u64::MAX },
+            ),
+        ];
+        let (mut buf, mut frame) = (Vec::new(), Vec::new());
+        for (seq, records) in &batches {
+            encode_records(&mut frame, *seq, records).unwrap();
+            buf.extend_from_slice(&frame);
+        }
+        for (f, _) in &frames {
             write_frame(&mut buf, f).unwrap();
         }
         let mut r = buf.as_slice();
-        for f in &frames {
-            assert_eq!(&read_frame(&mut r).unwrap(), f);
+        for (seq, records) in &batches {
+            let count = records.len() as u32;
+            let header = FrameHeader::Records { seq: *seq, count };
+            assert_eq!(read_frame_header(&mut r).unwrap(), header);
+            assert_eq!(&read_records(&mut r, count), records);
+        }
+        for (_, header) in frames {
+            assert_eq!(read_frame_header(&mut r).unwrap(), header);
         }
         assert!(r.is_empty());
     }
@@ -697,30 +567,20 @@ mod tests {
         buf.push(0x01);
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut buf.as_slice()).unwrap_err();
+        let err = read_frame_header(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
-        let err = read_frame(&mut [0x7f_u8].as_slice()).unwrap_err();
+        let err = read_frame_header(&mut [0x7f_u8].as_slice()).unwrap_err();
         assert!(err.to_string().contains("unknown frame tag"));
 
-        let oversized = Frame::Records {
-            seq: 0,
-            records: vec![(0, 0); MAX_RECORDS_PER_FRAME as usize + 1],
-        };
-        assert!(write_frame(&mut Vec::new(), &oversized).is_err());
+        let oversized = vec![(0u32, 0u32); MAX_RECORDS_PER_FRAME as usize + 1];
+        assert!(encode_records(&mut Vec::new(), 0, &oversized).is_err());
 
-        // Same for a forged Restore length prefix and an oversized image.
-        let mut buf = Vec::new();
-        buf.push(0x05);
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut buf.as_slice()).unwrap_err();
+        // No peer sends tag 0x05 (once an inline restore image): it is
+        // refused as unknown before the length that followed it is read.
+        let err = read_frame_header(&mut [0x05, 0xff, 0xff, 0xff, 0xff].as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("restore image"));
-
-        let oversized = Frame::Restore {
-            image: vec![0; MAX_RESTORE_BYTES as usize + 1],
-        };
-        assert!(write_frame(&mut Vec::new(), &oversized).is_err());
+        assert!(err.to_string().contains("unknown frame tag 0x05"), "{err}");
     }
 
     #[test]
@@ -742,7 +602,7 @@ mod tests {
         // the invariant behind the server's zero-copy decode.
         let records = [(3u32, 0x1234_5678u32), (u32::MAX, 0)];
         let mut buf = Vec::new();
-        write_records(&mut buf, 9, &records).unwrap();
+        encode_records(&mut buf, 9, &records).unwrap();
         let payload = &buf[1 + 8 + 4..];
         assert_eq!(payload.len(), records.len() * RECORD_BYTES);
         for (chunk, &(bank, row)) in payload.chunks(RECORD_BYTES).zip(&records) {
@@ -754,28 +614,45 @@ mod tests {
     }
 
     #[test]
-    fn header_then_chunked_payload_reads_equal_read_frame() {
+    fn header_then_chunked_payload_reads_equal_one_shot_read() {
         let mut buf = Vec::new();
-        write_records(&mut buf, 5, &[(1, 2), (3, 4), (5, 6)]).unwrap();
+        encode_records(&mut buf, 5, &[(1, 2), (3, 4), (5, 6)]).unwrap();
         write_frame(&mut buf, &Frame::Finish).unwrap();
+        let header = FrameHeader::Records { seq: 5, count: 3 };
+        let mut one_shot = buf.as_slice();
+        assert_eq!(read_frame_header(&mut one_shot).unwrap(), header);
+        assert_eq!(read_records(&mut one_shot, 3), [(1, 2), (3, 4), (5, 6)]);
+
         let mut r = buf.as_slice();
-        let header = read_frame_header(&mut r).unwrap();
-        assert_eq!(header, FrameHeader::Records { seq: 5, count: 3 });
+        assert_eq!(read_frame_header(&mut r).unwrap(), header);
         // Split the payload across two chunked reads, like the server does.
         let (mut bytes, mut packed) = (Vec::new(), Vec::new());
         read_packed_records(&mut r, &mut bytes, &mut packed, 2).unwrap();
         assert_eq!(packed, [pack_record(1, 2), pack_record(3, 4)]);
         read_packed_records(&mut r, &mut bytes, &mut packed, 1).unwrap();
         assert_eq!(packed, [pack_record(5, 6)]);
+        assert_eq!(r, one_shot);
         assert_eq!(read_frame_header(&mut r).unwrap(), FrameHeader::Finish);
         assert!(r.is_empty());
+    }
+
+    /// The records frame written field by field: the reference layout
+    /// [`encode_records`] must reproduce.
+    fn write_records(buf: &mut Vec<u8>, seq: u64, records: &[(u32, u32)]) {
+        buf.push(0x01);
+        buf.extend_from_slice(&seq.to_le_bytes());
+        buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for &(bank, row) in records {
+            buf.extend_from_slice(&bank.to_le_bytes());
+            buf.extend_from_slice(&row.to_le_bytes());
+        }
     }
 
     #[test]
     fn encode_records_matches_write_records() {
         let records: Vec<(u32, u32)> = (0..100u32).map(|i| (i, i * 31)).collect();
         let mut streamed = Vec::new();
-        write_records(&mut streamed, 42, &records).unwrap();
+        write_records(&mut streamed, 42, &records);
         let mut encoded = vec![0xFF; 3]; // stale content must be cleared
         encode_records(&mut encoded, 42, &records).unwrap();
         assert_eq!(encoded, streamed);
@@ -786,17 +663,31 @@ mod tests {
 
     #[test]
     fn truncated_frames_report_eof() {
+        fn eof<T: std::fmt::Debug>(result: io::Result<T>) {
+            assert_eq!(result.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        }
         let mut buf = Vec::new();
-        write_frame(
-            &mut buf,
-            &Frame::Records {
-                seq: 3,
-                records: vec![(1, 2), (3, 4)],
-            },
-        )
-        .unwrap();
-        let err = read_frame(&mut buf[..buf.len() - 1].as_ref()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        encode_records(&mut buf, 3, &[(1, 2), (3, 4)]).unwrap();
+        let mut r = &buf[..buf.len() - 1];
+        let header = FrameHeader::Records { seq: 3, count: 2 };
+        assert_eq!(read_frame_header(&mut r).unwrap(), header);
+        eof(read_packed_records(
+            &mut r,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            2,
+        ));
+        // Truncated fixed parts: a records header, an epoch cut, both
+        // hellos and a stats snapshot.
+        eof(read_frame_header(&mut &buf[..5]));
+        eof(read_frame_header(&mut [TAG_EPOCH_CUT, 9, 0, 0].as_slice()));
+        eof(read_client_hello(&mut &MAGIC[..]));
+        let mut buf = Vec::new();
+        write_server_hello(&mut buf, &hello()).unwrap();
+        for len in [3, 20, buf.len() - 1] {
+            eof(read_server_hello(&mut &buf[..len]));
+        }
+        eof(read_stats(&mut [0u8; 17].as_slice()));
     }
 
     #[test]

@@ -85,16 +85,19 @@ fn wall_clock_is_exempt_inside_bench() {
 #[test]
 fn panic_path_bad_fragment_is_rejected() {
     let src = include_str!("fixtures/panic_path_bad.rs");
-    let v = lint_source("crates/engine/src/wire.rs", src);
-    assert_eq!(
-        skeleton(&v),
-        vec![
-            (5, "panic-path"),  // .unwrap()
-            (7, "panic-path"),  // panic!
-            (15, "panic-path"), // .expect()
-        ],
-        "diagnostics: {v:#?}"
-    );
+    // The byte codec decodes peer and disk bytes, so it is datapath too.
+    for rel in ["crates/engine/src/wire.rs", "crates/engine/src/codec.rs"] {
+        let v = lint_source(rel, src);
+        assert_eq!(
+            skeleton(&v),
+            vec![
+                (5, "panic-path"),  // .unwrap()
+                (7, "panic-path"),  // panic!
+                (15, "panic-path"), // .expect()
+            ],
+            "{rel} diagnostics: {v:#?}"
+        );
+    }
 }
 
 #[test]

@@ -8,11 +8,10 @@
 //! streaming `push` front-end whose staging buffer batches the stream —
 //! this module is now a thin adapter from [`MemAccess`] iterators).
 
-use cat_core::SchemeStats;
+use cat_core::{SchemeSpec, SchemeStats};
 use cat_engine::MemorySystem;
 
 use crate::config::SystemConfig;
-use crate::scheme_spec::SchemeSpec;
 use crate::trace::MemAccess;
 
 /// Result of a functional run.
@@ -36,7 +35,8 @@ pub struct FunctionalReport {
 ///
 /// ```
 /// use cat_sim::functional::run_functional;
-/// use cat_sim::{MemAccess, SchemeSpec, SystemConfig};
+/// use cat_core::SchemeSpec;
+/// use cat_sim::{MemAccess, SystemConfig};
 ///
 /// let cfg = SystemConfig::dual_core_two_channel();
 /// let stream = (0..100_000u64).map(|i| MemAccess {
@@ -57,7 +57,9 @@ pub fn run_functional(
 ) -> FunctionalReport {
     assert!(accesses_per_epoch > 0, "epoch must contain accesses");
     let mut system = MemorySystem::new(config, spec).with_epoch_length(accesses_per_epoch);
-    system.push_iter(stream.map(|access| access.addr));
+    for access in stream {
+        system.push(access.addr);
+    }
     system.flush();
 
     let report = system.report();

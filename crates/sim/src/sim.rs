@@ -1,21 +1,20 @@
 //! The cycle-based system simulator tying cores, channels and mitigation
 //! schemes together.
 
-use cat_core::MitigationScheme;
+use cat_core::{MitigationScheme, SchemeSpec};
 use cat_engine::MemorySystem;
 
 use crate::config::SystemConfig;
 use crate::controller::{Channel, Request};
 use crate::cpu::{Core, IssueResult};
 use crate::report::SimReport;
-use crate::scheme_spec::SchemeSpec;
 use crate::trace::MemAccess;
 
 /// A multi-core, multi-channel DRAM system with one mitigation-scheme
 /// instance per bank, driven through [`cat_engine::MemorySystem`] (decode
 /// front-end + per-channel engines). The timed model is inherently
 /// single-access — each `ACT` is issued at its cycle via
-/// `activate_in_channel`, and epoch boundaries come from the cycle clock —
+/// `activate_global`, and epoch boundaries come from the cycle clock —
 /// so it deliberately bypasses the engine's batched/streaming paths.
 ///
 /// See the crate-level example for usage; [`Simulator::run`] consumes one
@@ -105,8 +104,11 @@ impl Simulator {
             for (ci, ch) in channels.iter_mut().enumerate() {
                 ch.harvest_completions(cycle, &mut completed);
                 let system = &mut self.system;
+                let first_bank = ci as u32 * system.geometry().banks_per_channel();
                 let mut on_activation = |bank_in_ch: usize, row: u32| -> u64 {
-                    system.activate_in_channel(ci, bank_in_ch, row).total_rows()
+                    system
+                        .activate_global(first_bank + bank_in_ch as u32, row)
+                        .total_rows()
                 };
                 ch.tick(cycle, &mut on_activation);
             }
