@@ -109,9 +109,10 @@ impl Drcat {
         self.weights.copy_from_slice(weights);
     }
 
-    /// §V-B weight update on a refresh event of counter `hot`, followed by
-    /// reconfiguration when the hot weight saturates.
-    fn on_refresh_event(&mut self, hot: u16) {
+    /// §V-B weight update on a refresh event of counter `hot` (the leaf
+    /// covering `row`), followed by reconfiguration when the hot weight
+    /// saturates.
+    fn on_refresh_event(&mut self, hot: u16, row: u32) {
         let h = hot as usize;
         self.weights[h] = (self.weights[h] + 1).min(WEIGHT_MAX);
         for (i, w) in self.weights.iter_mut().enumerate() {
@@ -120,23 +121,19 @@ impl Drcat {
             }
         }
         if self.weights[h] == WEIGHT_MAX {
-            self.try_reconfigure(hot);
+            self.try_reconfigure(hot, row);
         }
     }
 
     /// Steps (1)–(3) of §V-B: merge a cold sibling pair, split the hot leaf
-    /// with the released counter, and set both new weights to 1.
-    fn try_reconfigure(&mut self, hot: u16) {
-        // The hot leaf must be splittable at all (depth and range limits)
-        // before we commit to releasing a counter.
+    /// (the one covering `row`) with the released counter, and set both new
+    /// weights to 1.
+    fn try_reconfigure(&mut self, hot: u16, row: u32) {
+        // The hot leaf must be splittable before we commit to releasing a
+        // counter. A leaf above depth L−1 always spans two or more rows,
+        // because L−1 ≤ log2 rows.
         let max_depth = self.tree.config().max_levels() - 1;
-        let splittable = self
-            .tree
-            .shape()
-            .leaves()
-            .iter()
-            .any(|l| l.counter == hot && u32::from(l.depth) < max_depth && l.range.len() > 1);
-        if !splittable {
+        if u32::from(self.tree.counters[hot as usize].depth) >= max_depth {
             return;
         }
         let Some((slot, inode, l, r)) = self.tree.find_cold_pair(&self.weights, hot) else {
@@ -146,7 +143,7 @@ impl Drcat {
         self.weights[released as usize] = 0;
         let new = self
             .tree
-            .split_hot(hot)
+            .split_hot(row)
             .expect("split must succeed right after releasing a counter");
         self.weights[hot as usize] = WEIGHT_AFTER_SPLIT;
         self.weights[new as usize] = WEIGHT_AFTER_SPLIT;
@@ -159,7 +156,7 @@ impl MitigationScheme for Drcat {
         let activation = self.tree.record(row);
         match activation.refresh {
             Some(range) => {
-                self.on_refresh_event(activation.counter);
+                self.on_refresh_event(activation.counter, row.0);
                 Refreshes::one(range)
             }
             None => Refreshes::none(),

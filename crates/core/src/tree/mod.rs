@@ -1,7 +1,8 @@
 //! The Counter-based Adaptive Tree (§IV) in the compact SRAM layout of
 //! §IV-C: an array `I` of intermediate nodes (two tagged child pointers
 //! each), an array `C` of counters, and — starting from a pre-split complete
-//! tree of λ levels — direct indexing of the top `λ−1` address bits.
+//! tree of λ levels — direct indexing of the top `λ−1` address bits. Below
+//! the roots, each intermediate node is left by the next address bit.
 
 mod layout;
 pub mod reference;
@@ -152,41 +153,59 @@ impl CatTree {
         self.all_active
     }
 
-    /// Rows per direct-indexed subtree root.
-    fn root_span(&self) -> u32 {
-        self.config.rows() >> (self.config.lambda() - 1)
+    /// Bit of the row address that picks the root: the top `λ−1` bits
+    /// index the root table directly (§IV-C), so a root at depth `λ−1`
+    /// covers `2^root_bit` rows.
+    fn root_bit(&self) -> u32 {
+        self.config.rows().trailing_zeros() - (self.config.lambda() - 1)
     }
 
-    /// Walks the tree to the leaf covering `row`. Returns the counter index,
-    /// its range, its parent slot and the number of intermediate nodes read.
-    pub(crate) fn locate(&self, row: u32) -> (u16, u32, u32, ParentSlot, u32) {
-        debug_assert!(row < self.config.rows());
-        let span = self.root_span();
-        let g = row / span;
-        let mut lo = g * span;
-        let mut hi = lo + span - 1;
+    /// One step of the §IV-C descent: from inode `i`, whose children each
+    /// cover `2^bit` rows, the child on `row`'s side of bit `bit` and the
+    /// slot it sits in.
+    #[inline(always)]
+    fn child(&self, i: u16, row: u32, bit: u32) -> (NodeRef, ParentSlot) {
+        let inode = &self.inodes[i as usize];
+        if row >> bit & 1 == 0 {
+            (inode.left, ParentSlot::Left(i))
+        } else {
+            (inode.right, ParentSlot::Right(i))
+        }
+    }
+
+    /// Counter-only walk to the leaf covering `row`: the root by the top
+    /// `λ−1` address bits, then one address bit per intermediate node.
+    /// Returns the counter index and the number of intermediate nodes read.
+    #[inline(always)]
+    fn descend(&self, row: u32) -> (u16, u32) {
+        let mut bit = self.root_bit();
+        let mut node = self.roots[(row >> bit) as usize];
+        let mut visits = 0u32;
+        while let NodeRef::Inode(i) = node {
+            visits += 1;
+            bit -= 1;
+            node = self.child(i, row, bit).0;
+        }
+        (node.index(), visits)
+    }
+
+    /// The same walk, also tracking the parent slot. Returns the counter
+    /// index and its row range `[lo, hi]`, derived from the leaf's depth
+    /// (`rows >> depth` rows, aligned on that span). Only refreshes and
+    /// splits need the range and the slot.
+    fn locate(&self, row: u32) -> (u16, u32, u32, ParentSlot) {
+        let mut bit = self.root_bit();
+        let g = row >> bit;
         let mut slot = ParentSlot::Root(g);
         let mut node = self.roots[g as usize];
-        let mut visits = 0u32;
-        loop {
-            match node {
-                NodeRef::Leaf(c) => return (c, lo, hi, slot, visits),
-                NodeRef::Inode(i) => {
-                    visits += 1;
-                    let mid = lo + (hi - lo) / 2;
-                    let inode = &self.inodes[i as usize];
-                    if row <= mid {
-                        hi = mid;
-                        slot = ParentSlot::Left(i);
-                        node = inode.left;
-                    } else {
-                        lo = mid + 1;
-                        slot = ParentSlot::Right(i);
-                        node = inode.right;
-                    }
-                }
-            }
+        while let NodeRef::Inode(i) = node {
+            bit -= 1;
+            (node, slot) = self.child(i, row, bit);
         }
+        // `bit` is now `log2 rows − depth`: the leaf spans `rows >> depth`.
+        let span = 1u32 << bit;
+        let lo = row & !(span - 1);
+        (node.index(), lo, lo + (span - 1), slot)
     }
 
     pub(crate) fn set_slot(&mut self, slot: ParentSlot, node: NodeRef) {
@@ -264,17 +283,31 @@ impl CatTree {
             "row {row} out of range (bank has {rows} rows)"
         );
         self.stats.activations += 1;
-        let (mut c, mut lo, mut hi, mut slot, visits) = self.locate(row.0);
+        let (c, visits) = self.descend(row.0);
         // One read per traversed intermediate node, plus the counter
         // read-modify-write.
         self.stats.sram_reads += u64::from(visits) + 1;
         self.stats.sram_writes += 1;
-        self.stats.max_depth_touched = self
-            .stats
-            .max_depth_touched
-            .max(u64::from(self.counters[c as usize].depth));
+        let counter = &mut self.counters[c as usize];
+        self.stats.max_depth_touched = self.stats.max_depth_touched.max(u64::from(counter.depth));
+        counter.value += 1;
+        if counter.value < self.thresholds.threshold_for_level(u32::from(counter.tli)) {
+            return Activation {
+                refresh: None,
+                counter: c,
+            };
+        }
+        self.on_threshold(row.0)
+    }
 
-        self.counters[c as usize].value += 1;
+    /// The counter covering `row` reached its level threshold: refresh its
+    /// group, or split it (cascading while the clone's inherited value
+    /// meets the next threshold).
+    #[cold]
+    #[inline(never)]
+    fn on_threshold(&mut self, row: u32) -> Activation {
+        let rows = self.config.rows();
+        let (mut c, mut lo, mut hi, mut slot) = self.locate(row);
         loop {
             let counter = self.counters[c as usize];
             let threshold = self.thresholds.threshold_for_level(u32::from(counter.tli));
@@ -305,7 +338,7 @@ impl CatTree {
                     // the clone kept the parent's value, so a larger split
                     // threshold may already be met (cascade).
                     let mid = lo + (hi - lo) / 2;
-                    if row.0 <= mid {
+                    if row <= mid {
                         hi = mid;
                         slot = ParentSlot::Left(inode);
                     } else {
@@ -389,53 +422,27 @@ impl CatTree {
         left
     }
 
-    /// Finds the leaf holding counter `c`: its parent slot and row range.
-    pub(crate) fn find_leaf(&self, c: u16) -> Option<(ParentSlot, u32, u32)> {
-        let span = self.root_span();
-        for (g, root) in self.roots.iter().enumerate() {
-            let lo = g as u32 * span;
-            let mut stack = vec![(*root, lo, lo + span - 1, ParentSlot::Root(g as u32))];
-            while let Some((node, lo, hi, slot)) = stack.pop() {
-                match node {
-                    NodeRef::Leaf(idx) if idx == c => return Some((slot, lo, hi)),
-                    NodeRef::Leaf(_) => {}
-                    NodeRef::Inode(i) => {
-                        let mid = lo + (hi - lo) / 2;
-                        let inode = self.inodes[i as usize];
-                        stack.push((inode.left, lo, mid, ParentSlot::Left(i)));
-                        stack.push((inode.right, mid + 1, hi, ParentSlot::Right(i)));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Splits the (hot) leaf `c` using a previously released counter (§V-B
-    /// step 2). Fails when the leaf is already at the maximum level, covers
-    /// a single row, or no counter is free. Returns the new counter index.
-    pub(crate) fn split_hot(&mut self, c: u16) -> Option<u16> {
+    /// Splits the (hot) leaf covering `row` using a previously released
+    /// counter (§V-B step 2). Fails when the leaf is already at the maximum
+    /// level, covers a single row, or no counter is free. Returns the new
+    /// counter index.
+    pub(crate) fn split_hot(&mut self, row: u32) -> Option<u16> {
+        let (c, lo, hi, slot) = self.locate(row);
         if u32::from(self.counters[c as usize].depth) + 1 > self.config.max_levels() - 1 {
             return None;
         }
-        let (slot, lo, hi) = self.find_leaf(c)?;
         let was_tli = self.counters[c as usize].tli;
-        let split = self.split_leaf(c, lo, hi, slot);
-        if let Some((nc, _)) = split {
-            // Reconfiguration happens on the fully grown tree: thresholds
-            // stay latched at L−1 rather than following the depth.
-            if self.all_active {
-                let top = (self.config.max_levels() - 1) as u8;
-                self.counters[c as usize].tli = top;
-                self.counters[nc as usize].tli = top;
-            } else {
-                self.counters[c as usize].tli = was_tli;
-                self.counters[nc as usize].tli = was_tli;
-            }
-            Some(nc)
+        let (nc, _) = self.split_leaf(c, lo, hi, slot)?;
+        // Reconfiguration happens on the fully grown tree: thresholds stay
+        // latched at L−1 rather than following the depth.
+        let tli = if self.all_active {
+            (self.config.max_levels() - 1) as u8
         } else {
-            None
-        }
+            was_tli
+        };
+        self.counters[c as usize].tli = tli;
+        self.counters[nc as usize].tli = tli;
+        Some(nc)
     }
 
     /// Resets the tree to its initial pre-split state (used by PRCAT at
@@ -504,13 +511,14 @@ impl CatTree {
     /// built tree of the same configuration.
     ///
     /// Every structural invariant is revalidated: index bounds, the active
-    /// count against the counter flags, free-list sizes against the active
-    /// count, and entry distinctness — a corrupted stream cannot produce a
-    /// silently inconsistent tree.
+    /// count against the counter flags, the shape (one walk from the roots),
+    /// free-list sizes against the active count, and entry distinctness —
+    /// a corrupted stream cannot produce a silently inconsistent tree.
     ///
     /// # Errors
     ///
-    /// Returns [`StateError`] on any malformed or inconsistent value.
+    /// Returns [`StateError`] on any malformed or inconsistent value; the
+    /// tree is then partially restored and must be discarded.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let m = self.counters.len();
         let root_count = self.roots.len();
@@ -530,37 +538,42 @@ impl CatTree {
         if r.next_word()? != root_count as u64 {
             return Err(StateError::Invalid("tree root count"));
         }
-        let mut roots = Vec::with_capacity(root_count);
-        // Inode count arrives after the roots; node references into the
-        // inode array are validated against it in a second pass below.
+        // The arrays are refilled in place: clear + push within the
+        // capacities `new()` established keeps `heap_bytes` bit-equal with
+        // a never-checkpointed tree. The inode count arrives after the
+        // roots, so root references are bounded by the largest count first
+        // and by the real one once it is read.
+        self.roots.clear();
         for _ in 0..root_count {
-            roots.push(r.next_word()?);
+            self.roots.push(unpack_node(r.next_word()?, m, m - 1)?);
         }
         let inode_len = r.next_word()? as usize;
-        if inode_len > m.saturating_sub(1) {
+        if inode_len > m - 1 {
             return Err(StateError::Invalid("tree inode count"));
         }
-        let mut inodes = Vec::with_capacity(inode_len);
+        if self
+            .roots
+            .iter()
+            .any(|n| !n.is_leaf() && usize::from(n.index()) >= inode_len)
+        {
+            return Err(StateError::Invalid("tree inode index out of range"));
+        }
+        self.inodes.clear();
         for _ in 0..inode_len {
             let left = unpack_node(r.next_word()?, m, inode_len)?;
             let right = unpack_node(r.next_word()?, m, inode_len)?;
-            inodes.push(INode { left, right });
+            self.inodes.push(INode { left, right });
         }
-        let roots: Vec<NodeRef> = roots
-            .into_iter()
-            .map(|w| unpack_node(w, m, inode_len))
-            .collect::<Result<_, _>>()?;
         if r.next_word()? != m as u64 {
             return Err(StateError::Invalid("tree counter count"));
         }
-        let mut counters = Vec::with_capacity(m);
         let mut active_seen = 0usize;
-        for _ in 0..m {
+        for counter in &mut self.counters {
             let w = r.next_word()?;
             if w >> 49 != 0 {
                 return Err(StateError::Invalid("tree counter stray bits"));
             }
-            let counter = Counter {
+            *counter = Counter {
                 value: w as u32,
                 tli: (w >> 32) as u8,
                 depth: (w >> 40) as u8,
@@ -570,30 +583,42 @@ impl CatTree {
                 return Err(StateError::Invalid("tree counter level out of range"));
             }
             active_seen += usize::from(counter.active);
-            counters.push(counter);
         }
         if active_seen != active_counters {
             return Err(StateError::Invalid("tree active flags vs count"));
         }
-        let free_counters =
-            read_free_list(r, m - active_counters, m, |i| !counters[i as usize].active)?;
-        let live_inodes = active_counters - root_count;
-        if inode_len < live_inodes {
-            return Err(StateError::Invalid("tree inode count vs active"));
+        // One mark per counter, then one per inode. The shape walk marks
+        // every node it reaches; each free-list entry must be unmarked.
+        let mut seen = vec![false; m + inode_len];
+        let root_depth = (self.config.lambda() - 1) as u8;
+        let leaves = walk_shape(
+            &self.roots,
+            root_depth,
+            top,
+            &self.counters,
+            &self.inodes,
+            &mut seen,
+        )?;
+        if leaves != active_counters {
+            return Err(StateError::Invalid("tree leaf count vs active"));
         }
-        let free_inodes = read_free_list(r, inode_len - live_inodes, inode_len, |_| true)?;
-        // clear + extend (rather than replacing the Vecs) preserves the
-        // capacities `new()` established, keeping `heap_bytes` bit-equal
-        // with a never-checkpointed tree.
-        self.roots.clear();
-        self.roots.extend(roots);
-        self.inodes.clear();
-        self.inodes.extend(inodes);
-        self.counters = counters;
-        self.free_counters.clear();
-        self.free_counters.extend(free_counters);
-        self.free_inodes.clear();
-        self.free_inodes.extend(free_inodes);
+        // The walk reached `active_counters` distinct active leaves, so the
+        // unmarked counters are exactly the inactive ones. Each reached inode
+        // adds one leaf to its root's, so `active − roots` inodes are live.
+        let (seen_counters, seen_inodes) = seen.split_at_mut(m);
+        read_free_list(
+            r,
+            m - active_counters,
+            seen_counters,
+            &mut self.free_counters,
+        )?;
+        let live_inodes = active_counters - root_count;
+        read_free_list(
+            r,
+            inode_len - live_inodes,
+            seen_inodes,
+            &mut self.free_inodes,
+        )?;
         self.active_counters = active_counters;
         self.all_active = all_active;
         Ok(())
@@ -640,31 +665,92 @@ fn unpack_node(w: u64, counters: usize, inodes: usize) -> Result<NodeRef, StateE
     }
 }
 
-/// Reads a free list of exactly `expect` entries, each `< bound`, all
-/// distinct, each passing `eligible` (e.g. "that counter is inactive").
+/// Walks the trees under `roots` (at depth `root_depth`), marking what it
+/// reaches in `seen` (counters first, then inodes), and returns the leaf
+/// count. Every inode must sit above depth `top` (L−1) and be reached
+/// once, so cycles and shared subtrees are refused. Every leaf must be an
+/// active counter, reached once, whose `depth` field is its depth in the
+/// tree.
+fn walk_shape(
+    roots: &[NodeRef],
+    root_depth: u8,
+    top: u8,
+    counters: &[Counter],
+    inodes: &[INode],
+    seen: &mut [bool],
+) -> Result<usize, StateError> {
+    // Right subtrees still to visit: one per inode on the current path,
+    // which holds fewer than `top` ≤ 31 of them.
+    let mut pending = [(NodeRef::Leaf(0), 0u8); 32];
+    let mut leaves = 0;
+    for &root in roots {
+        let (mut node, mut depth) = (root, root_depth);
+        let mut len = 0;
+        loop {
+            match node {
+                NodeRef::Inode(i) => {
+                    if depth >= top {
+                        return Err(StateError::Invalid("tree inode at or below depth L-1"));
+                    }
+                    if std::mem::replace(&mut seen[counters.len() + i as usize], true) {
+                        return Err(StateError::Invalid("tree inode reached twice"));
+                    }
+                    let inode = inodes[i as usize];
+                    depth += 1;
+                    pending[len] = (inode.right, depth);
+                    len += 1;
+                    node = inode.left;
+                    continue;
+                }
+                NodeRef::Leaf(c) => {
+                    let counter = counters[c as usize];
+                    if !counter.active || counter.depth != depth {
+                        return Err(StateError::Invalid(
+                            "tree leaf inactive or at the wrong depth",
+                        ));
+                    }
+                    if std::mem::replace(&mut seen[c as usize], true) {
+                        return Err(StateError::Invalid("tree leaf reached twice"));
+                    }
+                    leaves += 1;
+                }
+            }
+            if len == 0 {
+                break;
+            }
+            len -= 1;
+            (node, depth) = pending[len];
+        }
+    }
+    Ok(leaves)
+}
+
+/// Reads a free list of exactly `expect` entries into `list`, each indexing
+/// `seen` and unmarked there (not in the tree, not listed before); marks
+/// every entry.
 fn read_free_list(
     r: &mut StateReader<'_>,
     expect: usize,
-    bound: usize,
-    eligible: impl Fn(u16) -> bool,
-) -> Result<Vec<u16>, StateError> {
+    seen: &mut [bool],
+    list: &mut Vec<u16>,
+) -> Result<(), StateError> {
     if r.next_word()? != expect as u64 {
         return Err(StateError::Invalid("tree free-list length"));
     }
-    let mut seen = vec![false; bound];
-    let mut list = Vec::with_capacity(expect);
+    list.clear();
+    list.reserve(expect);
     for _ in 0..expect {
         let idx = r.next_u16()?;
         let Some(slot) = seen.get_mut(idx as usize) else {
             return Err(StateError::Invalid("tree free-list index out of range"));
         };
-        if *slot || !eligible(idx) {
+        if *slot {
             return Err(StateError::Invalid("tree free-list entry inconsistent"));
         }
         *slot = true;
         list.push(idx);
     }
-    Ok(list)
+    Ok(())
 }
 
 impl MitigationScheme for CatTree {
@@ -883,7 +969,7 @@ mod tests {
         assert!(tree.shape().is_partition(32));
         assert_eq!(tree.active_counters(), 7);
         // The freed counter is reused by the next hot split.
-        let hot = tree.shape().leaves()[0].counter;
+        let hot = tree.shape().leaves()[0].range.lo();
         let nc = tree.split_hot(hot).expect("split must succeed after merge");
         assert_eq!(nc, freed);
         assert!(tree.shape().is_partition(32));
@@ -902,7 +988,8 @@ mod tests {
             .iter()
             .find(|l| l.depth == 5)
             .unwrap()
-            .counter;
+            .range
+            .lo();
         assert_eq!(tree.split_hot(deep), None);
     }
 
@@ -993,6 +1080,126 @@ mod tests {
             let mut fresh = CatTree::new(small_cfg());
             let mut r = crate::state::StateReader::new(&bad);
             assert!(fresh.restore_state(&mut r).is_err());
+        }
+    }
+
+    #[test]
+    fn restore_refuses_forged_shapes() {
+        let mut tree = CatTree::new(small_cfg());
+        for _ in 0..600 {
+            tree.record(RowId(10));
+        }
+        let mut words = Vec::new();
+        tree.save_state(&mut words);
+        // Word layout: stats, active count, latch, root count, roots, inode
+        // count, inode pairs, counter count, counters, free lists.
+        let roots_at = SchemeStats::FIELDS.len() + 3;
+        let inode0 = roots_at + tree.roots.len() + 1;
+        let counters_at = inode0 + 2 * tree.inodes.len() + 1;
+        assert!(!tree.inodes.is_empty() && !tree.roots[0].is_leaf());
+        let refused = |forged: &[u64], why: &'static str| {
+            let mut fresh = CatTree::new(small_cfg());
+            let mut r = crate::state::StateReader::new(forged);
+            assert_eq!(fresh.restore_state(&mut r), Err(StateError::Invalid(why)));
+        };
+
+        // A cycle: both children of inode 0 point back at inode 0. Every
+        // count and free list still checks out.
+        let mut cyclic = words.clone();
+        cyclic[inode0] = pack_node(NodeRef::Inode(0));
+        cyclic[inode0 + 1] = pack_node(NodeRef::Inode(0));
+        refused(&cyclic, "tree inode reached twice");
+
+        // A shared subtree: root 1 points at root 0's inode.
+        let mut shared = words.clone();
+        shared[roots_at + 1] = shared[roots_at];
+        refused(&shared, "tree inode reached twice");
+
+        // A leaf whose depth field disagrees with its place in the tree.
+        let NodeRef::Leaf(c) = tree.roots[1] else {
+            panic!("root 1 is an untouched pre-split leaf")
+        };
+        let mut deep = words.clone();
+        deep[counters_at + c as usize] += 1 << 40;
+        refused(&deep, "tree leaf inactive or at the wrong depth");
+
+        let mut fresh = CatTree::new(small_cfg());
+        fresh
+            .restore_state(&mut crate::state::StateReader::new(&words))
+            .unwrap();
+    }
+
+    /// Every row of trees grown over the differential grid's dimensions,
+    /// including DRCAT trees reshaped by merges: the counter-only descent
+    /// charges the `shape()` leaf covering the row after `depth − (λ−1)`
+    /// inode reads, and `locate` derives that leaf's range and the slot
+    /// holding it.
+    #[test]
+    fn descent_and_locate_agree_with_the_shape() {
+        use cat_prng::rngs::StdRng;
+        use cat_prng::{Rng, SeedableRng};
+        let policies = [
+            ThresholdPolicy::PaperCurve,
+            ThresholdPolicy::Doubling,
+            ThresholdPolicy::Uniform,
+        ];
+        let mut case = 0usize;
+        let mut merges = 0;
+        for rows in [256u32, 512, 1024] {
+            for counters in [4usize, 8, 16] {
+                for extra_levels in 2u32..=6 {
+                    for lambda in 1u32..=3 {
+                        let lambda = lambda.min(counters.trailing_zeros());
+                        let Ok(cfg) = CatConfig::new(rows, counters, lambda + extra_levels, 64)
+                            .and_then(|c| c.with_lambda(lambda))
+                        else {
+                            continue;
+                        };
+                        let cfg = cfg.with_policy(policies[case % 3]);
+                        let mut rng = StdRng::seed_from_u64(case as u64);
+                        case += 1;
+                        let mut tree = CatTree::new(cfg.clone());
+                        let mut drcat = crate::Drcat::new(cfg);
+                        let hot = [rng.gen_range(0..rows), rng.gen_range(0..rows)];
+                        for i in 0..6000u32 {
+                            let row = if i % 4 == 0 {
+                                rng.gen_range(0..rows)
+                            } else {
+                                hot[(i / 3000) as usize]
+                            };
+                            tree.record(RowId(row));
+                            drcat.on_activation(RowId(row));
+                        }
+                        merges += drcat.stats().merges;
+                        check_lookups(&tree);
+                        check_lookups(drcat.tree());
+                    }
+                }
+            }
+        }
+        assert!(merges > 0, "some DRCAT tree must have merged");
+    }
+
+    fn check_lookups(tree: &CatTree) {
+        let root_depth = tree.config().lambda() - 1;
+        for leaf in tree.shape().leaves() {
+            for row in leaf.range.lo()..=leaf.range.hi() {
+                let (c, visits) = tree.descend(row);
+                assert_eq!(c, leaf.counter, "row {row}");
+                assert_eq!(visits + root_depth, u32::from(leaf.depth), "row {row}");
+                let (c, lo, hi, slot) = tree.locate(row);
+                assert_eq!(
+                    (c, lo, hi),
+                    (leaf.counter, leaf.range.lo(), leaf.range.hi()),
+                    "row {row}"
+                );
+                let held = match slot {
+                    ParentSlot::Root(g) => tree.roots[g as usize],
+                    ParentSlot::Left(i) => tree.inodes[i as usize].left,
+                    ParentSlot::Right(i) => tree.inodes[i as usize].right,
+                };
+                assert_eq!(held, NodeRef::Leaf(c), "row {row}");
+            }
         }
     }
 }

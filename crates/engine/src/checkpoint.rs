@@ -1241,6 +1241,57 @@ mod tests {
     }
 
     #[test]
+    fn forged_cyclic_trees_are_refused() {
+        // Hammer one row of bank 0 so its tree has intermediate nodes, then
+        // point both children of inode 0 at inode 0 itself and reseal. The
+        // tree's shape walk must refuse the image; accepting it would hang
+        // (or underflow) the next activation's descent.
+        let mut original = fresh();
+        original.process(&vec![(0, 77); 4000]);
+        let image = original.checkpoint().unwrap();
+        let body_len = image.len() - 8;
+        let mut r = ByteReader::new(&image[..body_len]);
+        read_header(&mut r, SCOPE_SYSTEM).unwrap();
+        let sys_fixed = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 4; // geometry..engine count
+        r.take(sys_fixed, "system fields").unwrap();
+        let spec_len = usize::from(r.u16("spec length").unwrap());
+        r.take(spec_len + 12 + 9 + 16 + 8, "engine fields").unwrap();
+        assert_eq!(r.u64("activation entries").unwrap(), 1);
+        r.take(16 + 8, "activation entry, scheme capacity").unwrap();
+        assert_eq!(r.u64("materialized").unwrap(), 1);
+        assert_eq!(r.u64("bank").unwrap(), 0);
+        r.u64("state words").unwrap();
+        // Tree words: stats, active count, growth latch, root count, roots,
+        // inode count, then inode 0's (left, right).
+        r.take(
+            8 * (cat_core::SchemeStats::FIELDS.len() + 2),
+            "stats, active, latch",
+        )
+        .unwrap();
+        let roots = r.u64("root count").unwrap() as usize;
+        r.take(8 * roots, "roots").unwrap();
+        assert!(
+            r.u64("inode count").unwrap() > 0,
+            "the tree must have split"
+        );
+        let inode0 = body_len - r.remaining();
+
+        let mut corrupt = image.clone();
+        // `Inode(0)` packs to the word 0 (tag 0, index 0).
+        corrupt[inode0..inode0 + 16].fill(0);
+        let h = fnv1a(&corrupt[..body_len]).to_le_bytes();
+        corrupt[body_len..].copy_from_slice(&h);
+        let err = fresh().restore(&corrupt).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("tree inode reached twice"),
+            "{err}"
+        );
+        // The untouched image still restores.
+        fresh().restore(&image).unwrap();
+    }
+
+    #[test]
     fn open_for_append_refuses_a_log_starting_past_the_epoch() {
         // A header whose base access count lines up but whose base epoch
         // count is past the system's: replay would refuse this log, so
