@@ -1,7 +1,9 @@
 //! Micro-benchmarks: per-activation cost of each mitigation scheme (the
 //! software analogue of §VII-A's latency table — SCA one SRAM access, CAT
 //! 2‥L−log2(M)+2 pointer hops, DRCAT's extra weight work) and the cost of a
-//! DRCAT reconfiguration.
+//! DRCAT reconfiguration. Each CAT-family row has a `run` twin that replays
+//! 64-row runs through `on_run`, the per-bank call of the engine's batch
+//! path.
 //!
 //! Hand-rolled `std::time::Instant` harness (no criterion — the workspace
 //! builds offline): each measurement warms up, then reports the mean
@@ -69,6 +71,26 @@ fn report<S: MitigationScheme>(name: &str, iters: u64, mut scheme: S) {
     println!("{name:>20}  {ns:>8.1} ns/op");
 }
 
+/// Rows per `on_run` call of the run rows: one bank's share of a batch.
+const RUN: usize = 64;
+
+/// Measures `on_run` over runs of [`RUN`] rows of the same pattern as
+/// [`report`] (the engine's per-bank replay) and reports ns per row.
+fn report_run<S: MitigationScheme>(name: &str, iters: u64, mut scheme: S) {
+    let rows: Vec<u32> = (0..200_000u64).map(|i| row(i).0).collect();
+    scheme.on_run(&rows);
+    let runs = iters / RUN as u64;
+    let mut at = 0usize;
+    let ns = best_ns_per_iter(runs, 5, |_| {
+        if at + RUN > rows.len() {
+            at = 0;
+        }
+        scheme.on_run(black_box(&rows[at..at + RUN]));
+        at += RUN;
+    }) / RUN as f64;
+    println!("{name:>20}  {ns:>8.1} ns/row");
+}
+
 fn bench_activation() {
     banner("micro: on_activation (ns/op, steady state, best of 5)");
     let iters = 2_000_000 / quick_factor();
@@ -76,26 +98,15 @@ fn bench_activation() {
     report("SCA_64", iters, Sca::new(ROWS, 64, T).unwrap());
     report("SCA_128", iters, Sca::new(ROWS, 128, T).unwrap());
     report("PRA_0.002", iters, Pra::new(ROWS, 0.002, 1).unwrap());
-    report(
-        "CAT_64_L11",
-        iters,
-        CatTree::new(CatConfig::new(ROWS, 64, 11, T).unwrap()),
-    );
-    report(
-        "PRCAT_64_L11",
-        iters,
-        Prcat::new(CatConfig::new(ROWS, 64, 11, T).unwrap()),
-    );
-    report(
-        "DRCAT_64_L11",
-        iters,
-        Drcat::new(CatConfig::new(ROWS, 64, 11, T).unwrap()),
-    );
-    report(
-        "DRCAT_64_L14",
-        iters,
-        Drcat::new(CatConfig::new(ROWS, 64, 14, T).unwrap()),
-    );
+    let cat = |levels| CatConfig::new(ROWS, 64, levels, T).unwrap();
+    report("CAT_64_L11", iters, CatTree::new(cat(11)));
+    report_run("CAT_64_L11 run", iters, CatTree::new(cat(11)));
+    report("PRCAT_64_L11", iters, Prcat::new(cat(11)));
+    report_run("PRCAT_64_L11 run", iters, Prcat::new(cat(11)));
+    report("DRCAT_64_L11", iters, Drcat::new(cat(11)));
+    report_run("DRCAT_64_L11 run", iters, Drcat::new(cat(11)));
+    report("DRCAT_64_L14", iters, Drcat::new(cat(14)));
+    report_run("DRCAT_64_L14 run", iters, Drcat::new(cat(14)));
     report(
         "CounterCache_1024",
         iters,

@@ -163,6 +163,16 @@ impl MitigationScheme for Drcat {
         }
     }
 
+    fn on_run(&mut self, mut rows: &[u32]) {
+        while !rows.is_empty() {
+            let (n, activation) = self.tree.record_run(rows);
+            if activation.refresh.is_some() {
+                self.on_refresh_event(activation.counter, rows[n - 1]);
+            }
+            rows = &rows[n..];
+        }
+    }
+
     fn on_epoch_end(&mut self) {
         // Rows were auto-refreshed: counts restart, shape and weights persist.
         self.tree.zero_counters();

@@ -98,19 +98,15 @@ impl SchemeInstance {
         dispatch!(self, s => s.name())
     }
 
-    /// Drives a whole run of activations through the scheme, feeding each
-    /// returned [`Refreshes`] to `sink`.
+    /// Records a run of activations of the bank; see
+    /// [`MitigationScheme::on_run`].
     ///
-    /// The variant match is hoisted out of the loop, so each arm compiles to
-    /// a monomorphic inner loop with `on_activation` inlined — this is the
-    /// batched hot path of `cat-engine`'s sharded runner.
+    /// The variant match is hoisted out of the run, so each arm is one
+    /// monomorphic `on_run` (the CAT family's run kernel) — this is the
+    /// per-bank replay of `cat-engine`'s batch path.
     #[inline]
-    pub fn run(&mut self, rows: &[u32], mut sink: impl FnMut(Refreshes)) {
-        dispatch!(self, s => {
-            for &row in rows {
-                sink(s.on_activation(RowId(row)));
-            }
-        })
+    pub fn run(&mut self, rows: &[u32]) {
+        dispatch!(self, s => s.on_run(rows))
     }
 
     /// Resident bytes of this scheme's live state: the enum itself plus
@@ -182,6 +178,10 @@ impl SchemeInstance {
 impl MitigationScheme for SchemeInstance {
     fn on_activation(&mut self, row: RowId) -> Refreshes {
         SchemeInstance::on_activation(self, row)
+    }
+
+    fn on_run(&mut self, rows: &[u32]) {
+        SchemeInstance::run(self, rows)
     }
 
     fn on_epoch_end(&mut self) {

@@ -71,6 +71,10 @@ impl MitigationScheme for Prcat {
         }
     }
 
+    fn on_run(&mut self, rows: &[u32]) {
+        self.tree.on_run(rows);
+    }
+
     fn on_epoch_end(&mut self) {
         self.tree.reset();
     }

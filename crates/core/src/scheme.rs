@@ -152,6 +152,18 @@ pub trait MitigationScheme {
     /// be refreshed *now* to protect potential victims.
     fn on_activation(&mut self, row: crate::RowId) -> Refreshes;
 
+    /// Records a run of activations of the bank, in order, exactly as one
+    /// [`on_activation`](MitigationScheme::on_activation) per row would.
+    /// The refresh ranges are not returned; their counts land in
+    /// [`stats`](MitigationScheme::stats). Batch callers that only need
+    /// the counts use this; the CAT family overrides it with its run
+    /// kernel ([`crate::CatTree::record_run`]).
+    fn on_run(&mut self, rows: &[u32]) {
+        for &row in rows {
+            self.on_activation(crate::RowId(row));
+        }
+    }
+
     /// Signals that a full auto-refresh epoch elapsed (every row of the bank
     /// was refreshed by the regular refresh mechanism).
     fn on_epoch_end(&mut self);

@@ -160,39 +160,10 @@ impl CatTree {
         self.config.rows().trailing_zeros() - (self.config.lambda() - 1)
     }
 
-    /// One step of the §IV-C descent: from inode `i`, whose children each
-    /// cover `2^bit` rows, the child on `row`'s side of bit `bit` and the
-    /// slot it sits in.
-    #[inline(always)]
-    fn child(&self, i: u16, row: u32, bit: u32) -> (NodeRef, ParentSlot) {
-        let inode = &self.inodes[i as usize];
-        if row >> bit & 1 == 0 {
-            (inode.left, ParentSlot::Left(i))
-        } else {
-            (inode.right, ParentSlot::Right(i))
-        }
-    }
-
-    /// Counter-only walk to the leaf covering `row`: the root by the top
-    /// `λ−1` address bits, then one address bit per intermediate node.
-    /// Returns the counter index and the number of intermediate nodes read.
-    #[inline(always)]
-    fn descend(&self, row: u32) -> (u16, u32) {
-        let mut bit = self.root_bit();
-        let mut node = self.roots[(row >> bit) as usize];
-        let mut visits = 0u32;
-        while let NodeRef::Inode(i) = node {
-            visits += 1;
-            bit -= 1;
-            node = self.child(i, row, bit).0;
-        }
-        (node.index(), visits)
-    }
-
-    /// The same walk, also tracking the parent slot. Returns the counter
-    /// index and its row range `[lo, hi]`, derived from the leaf's depth
-    /// (`rows >> depth` rows, aligned on that span). Only refreshes and
-    /// splits need the range and the slot.
+    /// The [`descend`] walk, also tracking the parent slot. Returns the
+    /// counter index and its row range `[lo, hi]`, derived from the leaf's
+    /// depth (`rows >> depth` rows, aligned on that span). Only refreshes
+    /// and splits need the range and the slot.
     fn locate(&self, row: u32) -> (u16, u32, u32, ParentSlot) {
         let mut bit = self.root_bit();
         let g = row >> bit;
@@ -200,7 +171,7 @@ impl CatTree {
         let mut node = self.roots[g as usize];
         while let NodeRef::Inode(i) = node {
             bit -= 1;
-            (node, slot) = self.child(i, row, bit);
+            (node, slot) = child(&self.inodes, i, row, bit);
         }
         // `bit` is now `log2 rows − depth`: the leaf spans `rows >> depth`.
         let span = 1u32 << bit;
@@ -275,29 +246,76 @@ impl CatTree {
     }
 
     /// Records one activation; the core of Algorithm 1's counter module plus
-    /// the reconfiguration counter module's split handling.
+    /// the reconfiguration counter module's split handling. The one-row case
+    /// of [`record_run`](Self::record_run).
+    #[inline]
     pub fn record(&mut self, row: RowId) -> Activation {
-        let rows = self.config.rows();
-        assert!(
-            row.0 < rows,
-            "row {row} out of range (bank has {rows} rows)"
-        );
-        self.stats.activations += 1;
-        let (c, visits) = self.descend(row.0);
-        // One read per traversed intermediate node, plus the counter
-        // read-modify-write.
-        self.stats.sram_reads += u64::from(visits) + 1;
-        self.stats.sram_writes += 1;
-        let counter = &mut self.counters[c as usize];
-        self.stats.max_depth_touched = self.stats.max_depth_touched.max(u64::from(counter.depth));
-        counter.value += 1;
-        if counter.value < self.thresholds.threshold_for_level(u32::from(counter.tli)) {
-            return Activation {
-                refresh: None,
-                counter: c,
-            };
+        self.record_run(std::slice::from_ref(&row.0)).1
+    }
+
+    /// The run kernel: records the activations of `rows` in order and stops
+    /// after the first row whose counter meets its level threshold, which is
+    /// then refreshed or split exactly as by [`record`](Self::record).
+    /// Returns the number of rows consumed and the [`Activation`] of the
+    /// last of them; its `refresh` is `None` when the whole run stayed below
+    /// every threshold. A caller replays a bank's run by calling again on
+    /// the rows not yet consumed.
+    ///
+    /// The tree arrays and the threshold table are borrowed once per call,
+    /// and the SRAM statistics are summed in locals and written back when
+    /// the run ends or reaches a threshold, so the common path of a long
+    /// run only walks the tree and bumps one counter per row. It is always
+    /// inlined so that `record`'s one-row call folds down to a plain
+    /// per-row path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or holds a row outside the bank.
+    #[inline(always)]
+    pub fn record_run(&mut self, rows: &[u32]) -> (usize, Activation) {
+        assert!(!rows.is_empty(), "a run records at least one row");
+        let bank_rows = self.config.rows();
+        let root_bit = self.root_bit();
+        let thresholds = self.thresholds.as_slice();
+        let (roots, inodes, counters) = (&self.roots[..], &self.inodes[..], &mut self.counters[..]);
+        let mut consumed = 0usize;
+        let mut hit = false;
+        let mut visits = 0u64;
+        let mut max_depth = self.stats.max_depth_touched;
+        let mut last = 0u16;
+        for &row in rows {
+            assert!(
+                row < bank_rows,
+                "row {row} out of range (bank has {bank_rows} rows)"
+            );
+            consumed += 1;
+            let (c, v) = descend(roots, inodes, root_bit, row);
+            visits += u64::from(v);
+            let counter = &mut counters[c as usize];
+            max_depth = max_depth.max(u64::from(counter.depth));
+            counter.value += 1;
+            last = c;
+            if counter.value >= thresholds[usize::from(counter.tli)] {
+                hit = true;
+                break;
+            }
         }
-        self.on_threshold(row.0)
+        // One read per traversed intermediate node plus the counter
+        // read-modify-write, per row.
+        let n = consumed as u64;
+        self.stats.activations += n;
+        self.stats.sram_reads += visits + n;
+        self.stats.sram_writes += n;
+        self.stats.max_depth_touched = max_depth;
+        let activation = if hit {
+            self.on_threshold(rows[consumed - 1])
+        } else {
+            Activation {
+                refresh: None,
+                counter: last,
+            }
+        };
+        (consumed, activation)
     }
 
     /// The counter covering `row` reached its level threshold: refresh its
@@ -640,6 +658,35 @@ impl CatTree {
     }
 }
 
+/// One step of the §IV-C descent: from inode `i`, whose children each
+/// cover `2^bit` rows, the child on `row`'s side of bit `bit` and the slot
+/// it sits in.
+#[inline(always)]
+fn child(inodes: &[INode], i: u16, row: u32, bit: u32) -> (NodeRef, ParentSlot) {
+    let inode = &inodes[i as usize];
+    if row >> bit & 1 == 0 {
+        (inode.left, ParentSlot::Left(i))
+    } else {
+        (inode.right, ParentSlot::Right(i))
+    }
+}
+
+/// Counter-only walk to the leaf covering `row`: the root by the address
+/// bits above `root_bit`, then one address bit per intermediate node.
+/// Returns the counter index and the number of intermediate nodes read.
+#[inline(always)]
+fn descend(roots: &[NodeRef], inodes: &[INode], root_bit: u32, row: u32) -> (u16, u32) {
+    let mut bit = root_bit;
+    let mut node = roots[(row >> bit) as usize];
+    let mut visits = 0u32;
+    while let NodeRef::Inode(i) = node {
+        visits += 1;
+        bit -= 1;
+        node = child(inodes, i, row, bit).0;
+    }
+    (node.index(), visits)
+}
+
 /// Packs a node reference as `tag << 16 | index` (tag 1 = leaf).
 fn pack_node(n: NodeRef) -> u64 {
     u64::from(n.is_leaf()) << 16 | u64::from(n.index())
@@ -758,6 +805,12 @@ impl MitigationScheme for CatTree {
         match self.record(row).refresh {
             Some(range) => Refreshes::one(range),
             None => Refreshes::none(),
+        }
+    }
+
+    fn on_run(&mut self, mut rows: &[u32]) {
+        while !rows.is_empty() {
+            rows = &rows[self.record_run(rows).0..];
         }
     }
 
@@ -1184,7 +1237,7 @@ mod tests {
         let root_depth = tree.config().lambda() - 1;
         for leaf in tree.shape().leaves() {
             for row in leaf.range.lo()..=leaf.range.hi() {
-                let (c, visits) = tree.descend(row);
+                let (c, visits) = descend(&tree.roots, &tree.inodes, tree.root_bit(), row);
                 assert_eq!(c, leaf.counter, "row {row}");
                 assert_eq!(visits + root_depth, u32::from(leaf.depth), "row {row}");
                 let (c, lo, hi, slot) = tree.locate(row);

@@ -12,7 +12,7 @@
 //! config and seed of the failing case.
 
 use cat_core::tree::reference::ReferenceCat;
-use cat_core::{CatConfig, CatTree, Drcat, MitigationScheme, RowId, ThresholdPolicy};
+use cat_core::{CatConfig, CatTree, Drcat, MitigationScheme, Prcat, RowId, ThresholdPolicy};
 use cat_prng::rngs::StdRng;
 use cat_prng::{splitmix64, Rng, SeedableRng};
 
@@ -336,4 +336,193 @@ fn drcat_refreshes_fewer_rows_than_prcat_on_stable_patterns() {
         "DRCAT must refresh far fewer rows than PRCAT on a stable hot spot: {d} vs {p}"
     );
     assert!(drcat.stats().reconfigurations > 0);
+}
+
+/// Run lengths the run-kernel differential replays with; `usize::MAX` is
+/// a whole epoch segment in one run.
+const RUN_LENGTHS: [usize; 5] = [1, 2, 7, 64, usize::MAX];
+/// Accesses per epoch in the run-kernel differential (a multiple of 64).
+const RUN_EPOCH: usize = 1_536;
+
+/// A seeded two-phase trace: two hot rows in turn (several splits and
+/// refreshes deep), one access in four to a uniform row.
+fn run_trace(rows: u32, seed: u64) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let hot = [rng.gen_range(0..rows), rng.gen_range(0..rows)];
+    (0..6_000u32)
+        .map(|i| {
+            if i % 4 == 0 {
+                rng.gen_range(0..rows)
+            } else {
+                hot[(i / 3_000) as usize]
+            }
+        })
+        .collect()
+}
+
+/// One `on_activation` per row, `on_epoch_end` every [`RUN_EPOCH`] rows.
+/// Calls `event(i, &scheme)` after row `i`.
+fn replay_rows<S: MitigationScheme>(s: &mut S, trace: &[u32], mut event: impl FnMut(usize, &S)) {
+    for (i, &row) in trace.iter().enumerate() {
+        if i > 0 && i % RUN_EPOCH == 0 {
+            s.on_epoch_end();
+        }
+        s.on_activation(RowId(row));
+        event(i, s);
+    }
+}
+
+/// The same replay as `on_run` calls of `run` rows, never across an epoch
+/// boundary.
+fn replay_runs<S: MitigationScheme>(s: &mut S, trace: &[u32], run: usize) {
+    for (k, segment) in trace.chunks(RUN_EPOCH).enumerate() {
+        if k > 0 {
+            s.on_epoch_end();
+        }
+        for rows in segment.chunks(run) {
+            s.on_run(rows);
+        }
+    }
+}
+
+/// Where row `i` falls in its run of `run` rows: (offset, run length).
+fn run_offset(i: usize, len: usize, run: usize) -> (usize, usize) {
+    let (segment, at) = (i / RUN_EPOCH * RUN_EPOCH, i % RUN_EPOCH);
+    let segment_len = RUN_EPOCH.min(len - segment);
+    let start = at / run * run;
+    (at - start, run.min(segment_len - start))
+}
+
+/// `CatTree::record_run` and every CAT scheme's `on_run`, over the grid
+/// and runs of 1, 2, 7, 64 rows and whole epoch segments, must equal one
+/// `on_activation` per row: the same refresh ranges at the same rows, the
+/// same full `SchemeStats` and the same `save_state` words. The sweep must
+/// reach thresholds on a run's first and last row, on back-to-back rows,
+/// cascading splits, DRCAT reconfigurations inside a run and PRCAT epoch
+/// ends between runs.
+#[test]
+fn run_kernel_equals_per_row_activations() {
+    let words = |save: &dyn Fn(&mut Vec<u64>)| {
+        let mut out = Vec::new();
+        save(&mut out);
+        out
+    };
+    let (mut first, mut last, mut back_to_back, mut cascades) = (0, 0, 0, 0);
+    let (mut inner_reconfigs, mut prcat_later_epochs) = (0, 0);
+    for (case, config) in sampled_configs(64).into_iter().enumerate() {
+        let seed = case_seed(0x6000 ^ case);
+        let trace = run_trace(config.rows(), seed);
+        let ctx = format!("case {case}, seed {seed:#x}, config {config:?}");
+
+        // The bare tree: refresh ranges by row index, then state.
+        let mut per_row = CatTree::new(config.clone());
+        let mut want = Vec::new();
+        for (i, &row) in trace.iter().enumerate() {
+            let splits = per_row.stats().splits;
+            if let Some(range) = per_row.record(RowId(row)).refresh {
+                want.push((i, range));
+            }
+            cascades += usize::from(per_row.stats().splits >= splits + 2);
+        }
+        for window in want.windows(2) {
+            back_to_back += usize::from(window[1].0 == window[0].0 + 1);
+        }
+        let want_words = words(&|out| per_row.save_state(out));
+        for run in RUN_LENGTHS {
+            let mut tree = CatTree::new(config.clone());
+            let mut got = Vec::new();
+            for (k, rows) in trace.chunks(run).enumerate() {
+                let mut at = 0;
+                while at < rows.len() {
+                    let (n, activation) = tree.record_run(&rows[at..]);
+                    at += n;
+                    if let Some(range) = activation.refresh {
+                        got.push((k * run.min(trace.len()) + at - 1, range));
+                        if rows.len() > 1 {
+                            first += usize::from(at == 1);
+                            last += usize::from(at == rows.len());
+                        }
+                    }
+                }
+            }
+            assert_eq!(got, want, "tree refreshes, runs of {run} ({ctx})");
+            assert_eq!(
+                tree.stats(),
+                per_row.stats(),
+                "tree stats, runs of {run} ({ctx})"
+            );
+            assert_eq!(
+                words(&|out| tree.save_state(out)),
+                want_words,
+                "tree state, runs of {run} ({ctx})"
+            );
+        }
+
+        // PRCAT: epoch ends between runs rebuild the tree.
+        let mut per_row = Prcat::new(config.clone());
+        let mut events = 0;
+        replay_rows(&mut per_row, &trace, |i, p| {
+            if i >= RUN_EPOCH && p.stats().refresh_events > events {
+                prcat_later_epochs += 1;
+            }
+            events = p.stats().refresh_events;
+        });
+        let want_words = words(&|out| per_row.save_state(out));
+        for run in RUN_LENGTHS {
+            let mut prcat = Prcat::new(config.clone());
+            replay_runs(&mut prcat, &trace, run);
+            assert_eq!(
+                prcat.stats(),
+                per_row.stats(),
+                "PRCAT stats, runs of {run} ({ctx})"
+            );
+            assert_eq!(
+                words(&|out| prcat.save_state(out)),
+                want_words,
+                "PRCAT state, runs of {run} ({ctx})"
+            );
+        }
+
+        // DRCAT: weight updates, merges and reconfigurations mid-run.
+        let mut per_row = Drcat::new(config.clone());
+        let mut reconfigured_at = Vec::new();
+        let mut reconfigs = 0;
+        replay_rows(&mut per_row, &trace, |i, d| {
+            if d.stats().reconfigurations > reconfigs {
+                reconfigs = d.stats().reconfigurations;
+                reconfigured_at.push(i);
+            }
+        });
+        inner_reconfigs += reconfigured_at
+            .iter()
+            .filter(|&&i| {
+                let (offset, len) = run_offset(i, trace.len(), 64);
+                0 < offset && offset + 1 < len
+            })
+            .count();
+        let want_words = words(&|out| per_row.save_state(out));
+        for run in RUN_LENGTHS {
+            let mut drcat = Drcat::new(config.clone());
+            replay_runs(&mut drcat, &trace, run);
+            assert_eq!(
+                drcat.stats(),
+                per_row.stats(),
+                "DRCAT stats, runs of {run} ({ctx})"
+            );
+            assert_eq!(
+                words(&|out| drcat.save_state(out)),
+                want_words,
+                "DRCAT state, runs of {run} ({ctx})"
+            );
+        }
+    }
+    assert!(first > 0, "no threshold met on a run's first row");
+    assert!(last > 0, "no threshold met on a run's last row");
+    assert!(back_to_back > 0, "no refreshes on back-to-back rows");
+    assert!(cascades > 0, "no cascading split");
+    assert!(inner_reconfigs > 0, "no DRCAT reconfiguration inside a run");
+    assert!(
+        prcat_later_epochs > 0,
+        "no PRCAT refresh after an epoch end"
+    );
 }

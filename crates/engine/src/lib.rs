@@ -169,9 +169,10 @@ pub(crate) fn validate_cuts(cuts: &[usize], len: usize) {
     }
 }
 
-/// Aggregate outcome of one [`BankEngine::process`] batch, computed by
-/// differencing O(banks) stats snapshots around the batch — the
-/// per-activation loops carry no accounting at all.
+/// Aggregate outcome of one [`BankEngine::process`] batch. The refresh
+/// counts are the differences of each touched bank's stats across its run
+/// (no scheme's `on_epoch_end` moves them), so untouched banks cost nothing
+/// and the per-activation loops carry no accounting at all.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Accesses processed in this batch.
@@ -455,21 +456,6 @@ impl BankEngine {
         }
     }
 
-    /// Running totals of (refresh events, refreshed rows) across banks.
-    /// Cheap (O(materialized banks)); differencing two snapshots gives a
-    /// batch's outcome without putting any accounting in the
-    /// per-activation loop.
-    fn refresh_totals(&self) -> (u64, u64) {
-        let mut events = 0u64;
-        let mut rows = 0u64;
-        for (_, s) in self.banks.iter() {
-            let stats = s.stats();
-            events += stats.refresh_events;
-            rows += stats.refreshed_rows;
-        }
-        (events, rows)
-    }
-
     /// Processes a batch of `(bank, row)` activations in order, firing epoch
     /// boundaries (if configured) at the right global positions, and returns
     /// the incrementally-aggregated outcome of the batch.
@@ -533,14 +519,20 @@ impl BankEngine {
     /// The shared sequential core of [`process`](Self::process) and
     /// [`process_with_cuts`](Self::process_with_cuts): per segment, a
     /// counting-sort scatter of the accesses by bank, then each touched
-    /// bank replays its whole subsequence through one monomorphic
-    /// [`SchemeInstance::run`] loop. Schemes never observe other banks'
-    /// activations (the determinism contract, `DESIGN.md §7`), so the
-    /// replay is bit-identical to interleaved per-access dispatch while
-    /// paying the bank lookup once per touched bank per segment instead
-    /// of twice per access.
+    /// bank replays its whole subsequence in one [`SchemeInstance::run`]
+    /// call (the CAT run kernel for the tree schemes). Schemes never
+    /// observe other banks' activations (the determinism contract,
+    /// `DESIGN.md §7`), so the replay is bit-identical to interleaved
+    /// per-access dispatch while paying the bank lookup once per touched
+    /// bank per segment instead of twice per access. The outcome's
+    /// refresh counts are summed from each touched bank's stats around
+    /// its run.
     fn run_with_cuts(&mut self, batch: &[(u32, u32)], cuts: &[usize]) -> BatchOutcome {
-        let (events_before, rows_before) = self.refresh_totals();
+        let mut out = BatchOutcome {
+            accesses: batch.len() as u64,
+            epochs: cuts.len() as u64,
+            ..BatchOutcome::default()
+        };
         let nbanks = self.banks.capacity();
         if self.act_scratch.len() < nbanks {
             self.act_scratch.resize(nbanks, 0);
@@ -579,15 +571,21 @@ impl BankEngine {
                 rows_buf[*c as usize] = row;
                 *c += 1;
             }
-            // Replay each touched bank's subsequence, fold its count into
-            // the sparse activation accounting, and reset its scratch.
+            // Replay each touched bank's subsequence with one `run`, count
+            // its refreshes while its stats are in cache, fold its count
+            // into the sparse activation accounting, and reset its scratch.
             let mut start = 0usize;
             for &bank in &touched {
                 let b = bank as usize;
                 let count = self.act_scratch[b];
                 let end = start + count as usize;
                 if let Some(scheme) = self.banks.scheme_mut(b) {
-                    scheme.run(&rows_buf[start..end], |_| {});
+                    let s = scheme.stats();
+                    let (events, rows) = (s.refresh_events, s.refreshed_rows);
+                    scheme.run(&rows_buf[start..end]);
+                    let s = scheme.stats();
+                    out.refresh_events += s.refresh_events - events;
+                    out.refreshed_rows += s.refreshed_rows - rows;
                 }
                 *self.activations.get_or_insert_with(b, u64::default) += count;
                 self.act_scratch[b] = 0;
@@ -601,13 +599,7 @@ impl BankEngine {
         self.touched = touched;
         self.row_scratch = rows_buf;
         self.accesses += batch.len() as u64;
-        let (events, rows) = self.refresh_totals();
-        BatchOutcome {
-            accesses: batch.len() as u64,
-            epochs: cuts.len() as u64,
-            refresh_events: events - events_before,
-            refreshed_rows: rows - rows_before,
-        }
+        out
     }
 
     /// Scheme statistics aggregated across banks, in ascending bank order.

@@ -10,7 +10,7 @@
 //! exercised are spelled out in `DESIGN.md §7`.
 
 use cat_core::{MitigationScheme, RowId, SchemeSpec, SchemeStats};
-use cat_engine::{BankEngine, MemGeometry, MemorySystem, Partition};
+use cat_engine::{BankEngine, BatchOutcome, MemGeometry, MemorySystem, Partition};
 
 const BANKS: u32 = 16;
 const ROWS: u32 = 8192;
@@ -552,4 +552,60 @@ fn sharded_batches_compose_across_process_calls() {
     }
     assert_eq!(system.stats(), old_total);
     assert_eq!(system.epochs(), 90_000 / EPOCH);
+}
+
+#[test]
+fn batch_outcomes_sum_to_the_final_refresh_totals() {
+    // A batch's refresh counts are summed over the banks it touched, not
+    // read off every materialized bank. At the 1 Mi-bank geometry, at 1
+    // and 2 shards, with epoch cuts inside batches and a first phase that
+    // touches channel 0 only (the other engines sit idle, or see only
+    // cuts), the summed outcomes must equal the final stats.
+    const BIG: u32 = 1 << 20;
+    let geometry = MemGeometry {
+        channels: 4,
+        ranks_per_channel: 1,
+        banks_per_rank: BIG / 4,
+        rows_per_bank: ROWS,
+        lines_per_row: 16,
+        line_bytes: 64,
+    };
+    // 8 hot banks per channel, every third access to a hashed row.
+    let access = |i: u64, channels: u64| {
+        let bank = (i % (8 * channels)) * (u64::from(BIG) / 4 / 8 + 97);
+        let row = if i.is_multiple_of(3) {
+            (i.wrapping_mul(2_654_435_761) % u64::from(ROWS)) as u32
+        } else {
+            1_000
+        };
+        ((bank % u64::from(BIG)) as u32, row)
+    };
+    let mut trace: Vec<(u32, u32)> = (0..40_000u64).map(|i| access(i, 1)).collect();
+    trace.extend((0..60_000u64).map(|i| access(i, 4)));
+    assert!(trace[..40_000].iter().all(|&(b, _)| b < BIG / 4));
+    for spec in all_specs() {
+        for shards in [1, 2] {
+            let mut system = MemorySystem::new(geometry, spec)
+                .with_epoch_length(12_000)
+                .with_shards(shards);
+            let mut sum = BatchOutcome::default();
+            for chunk in trace.chunks(4_096) {
+                sum.merge(&system.process(chunk));
+            }
+            let stats = system.stats();
+            assert_eq!(
+                (sum.accesses, sum.epochs),
+                (trace.len() as u64, system.epochs()),
+                "{spec:?} at {shards} shards"
+            );
+            assert_eq!(
+                (sum.refresh_events, sum.refreshed_rows),
+                (stats.refresh_events, stats.refreshed_rows),
+                "{spec:?} at {shards} shards"
+            );
+            if spec != SchemeSpec::None {
+                assert!(stats.refresh_events > 0, "{spec:?} must refresh");
+            }
+        }
+    }
 }
