@@ -35,7 +35,6 @@
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use cat_core::{StateError, StateReader};
 
@@ -561,8 +560,8 @@ pub struct CheckpointConfig {
     /// (created if absent).
     pub dir: PathBuf,
     /// Take a periodic checkpoint at every epoch cut whose epoch count is
-    /// a multiple of this (≥ 1; meaningful only with an epoch clock —
-    /// without one, only client-requested checkpoints fire).
+    /// a multiple of this (≥ 1). Without an epoch clock the cuts are the
+    /// ones delivered in the stream.
     pub every_epochs: u64,
 }
 
@@ -860,16 +859,13 @@ pub fn resume_from_dir(system: &mut MemorySystem, dir: &Path) -> io::Result<Reco
 /// are split at epoch cuts, stream-delivered cuts (a router's epoch
 /// clock driving a clockless backend) are persisted as log markers and
 /// applied, and at each cut a checkpoint is published when one is due
-/// ([`CheckpointConfig::every_epochs`]) or a client requested one over
-/// the wire (`requested`, consumed only at a cut so the image is always
-/// cut-consistent). If the stream ends on a cut a final checkpoint is
-/// taken; otherwise the log tail carries the remainder for
-/// [`resume_from_dir`].
+/// ([`CheckpointConfig::every_epochs`]). If the stream ends on a cut a
+/// final checkpoint is taken; otherwise the log tail carries the
+/// remainder for [`resume_from_dir`].
 pub(crate) fn drain_with_checkpoints(
     system: &mut MemorySystem,
     consumer: &mut IngestConsumer,
     cfg: &CheckpointConfig,
-    requested: &AtomicBool,
 ) -> io::Result<BatchOutcome> {
     if cfg.every_epochs == 0 {
         return Err(bad("checkpoint interval of zero epochs"));
@@ -893,10 +889,10 @@ pub(crate) fn drain_with_checkpoints(
                 log.append_cut()?;
                 system.end_epoch();
                 out.epochs += 1;
-                let asked = requested.swap(false, Ordering::SeqCst);
-                let due = system.epochs().is_multiple_of(cfg.every_epochs);
                 let position = (system.accesses(), system.epochs());
-                if (asked || due) && last_checkpoint != Some(position) {
+                if system.epochs().is_multiple_of(cfg.every_epochs)
+                    && last_checkpoint != Some(position)
+                {
                     publish_checkpoint(system, cfg, &mut log)?;
                     last_checkpoint = Some(position);
                 }
@@ -919,19 +915,14 @@ pub(crate) fn drain_with_checkpoints(
                     };
                     out.merge(&system.process(&batch[start..stop]));
                     start = stop;
-                    let at_cut = match system.epoch_length() {
-                        None => start == batch.len(),
-                        Some(n) => system.accesses().is_multiple_of(n),
-                    };
-                    if !at_cut {
-                        continue;
-                    }
-                    let asked = requested.swap(false, Ordering::SeqCst);
-                    let due = system.epoch_length().is_some()
+                    // Only the system's own clock cuts a records batch.
+                    let due = system
+                        .epoch_length()
+                        .is_some_and(|n| system.accesses().is_multiple_of(n))
                         && system.epochs() > 0
                         && system.epochs().is_multiple_of(cfg.every_epochs);
                     let position = (system.accesses(), system.epochs());
-                    if (asked || due) && last_checkpoint != Some(position) {
+                    if due && last_checkpoint != Some(position) {
                         publish_checkpoint(system, cfg, &mut log)?;
                         // The rotation truncated the log at the cut, which
                         // also dropped this batch's still-unprocessed tail —

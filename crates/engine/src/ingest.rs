@@ -1,6 +1,7 @@
 //! The multi-producer ingestion front-end: per-producer lock-free SPSC
-//! lanes with a deterministic merge, and the TCP server loop (`catd`)
-//! that feeds them from [`wire`]-framed socket connections.
+//! lanes with a deterministic merge, the `catd` entry point ([`serve`])
+//! that feeds them from [`wire`]-framed socket connections through the
+//! crate's one session loop, and the client side ([`IngestClient`]).
 //!
 //! This is the layer that turns `cat-engine` from a library you call into
 //! a service you stream at — the memory-controller deployment model the
@@ -58,16 +59,16 @@
 //! batch while every other lane is full: a global bound would deadlock
 //! exactly there.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::{JoinHandle, Thread};
+use std::thread::Thread;
 
 use crate::checkpoint::{drain_with_checkpoints, CheckpointConfig};
-use crate::codec::bad;
-use crate::wire::{self, Frame, FrameHeader, ServerHello, StatsSnapshot};
-use crate::{BatchOutcome, GeometrySlice, MemorySystem};
+use crate::session::{self, Sink};
+use crate::wire::{self, Frame, ServerHello, StatsSnapshot};
+use crate::{BatchOutcome, MemorySystem};
 
 /// Batch-descriptor flag bit marking an epoch-cut event instead of a
 /// record batch (`DESIGN.md §12`). Record counts are bounded far below
@@ -277,10 +278,12 @@ impl std::error::Error for QueueClosed {}
 /// p0.send(&[(0, 20)]).unwrap();
 /// drop(p0); // finish
 /// drop(p1);
-/// assert_eq!(consumer.next_batch(), Some(vec![(0, 20)])); // seq 0, producer 0
-/// assert_eq!(consumer.next_batch(), Some(vec![(1, 10)])); // seq 0, producer 1
-/// assert_eq!(consumer.next_batch(), Some(vec![(1, 11)])); // seq 1, producer 1
-/// assert_eq!(consumer.next_batch(), None);
+/// let mut merged = Vec::new();
+/// assert!(consumer.next_batch_into(&mut merged)); // seq 0, producer 0
+/// assert!(consumer.next_batch_into(&mut merged)); // seq 0, producer 1
+/// assert!(consumer.next_batch_into(&mut merged)); // seq 1, producer 1
+/// assert!(!consumer.next_batch_into(&mut merged));
+/// assert_eq!(merged, [(0, 20), (1, 10), (1, 11)]);
 /// ```
 pub struct IngestQueue;
 
@@ -491,10 +494,6 @@ impl IngestProducer {
         }
         Ok(())
     }
-
-    /// Marks the lane finished (equivalent to dropping the handle): the
-    /// merge skips this producer once its buffered batches drain.
-    pub fn finish(self) {}
 }
 
 impl Drop for IngestProducer {
@@ -577,15 +576,6 @@ impl IngestConsumer {
             skipped = 0;
         }
         None
-    }
-
-    /// Blocks until the next batch in `(sequence, producer)` order is
-    /// available and returns it; `None` once every producer has finished
-    /// and drained. Allocation-free callers use
-    /// [`next_batch_into`](Self::next_batch_into) instead.
-    pub fn next_batch(&mut self) -> Option<Vec<(u32, u32)>> {
-        let mut out = Vec::new();
-        self.next_batch_into(&mut out).then_some(out)
     }
 
     /// Copies one `len`-record batch out of `lane`'s slot ring into
@@ -679,10 +669,9 @@ pub struct ServeOptions {
     /// threshold — see the [module docs](self)).
     pub queue_capacity: usize,
     /// Checkpointing (`DESIGN.md §11`): when set, every merged batch is
-    /// logged to the checkpoint directory before processing, images are
-    /// published at epoch cuts, and clients may send
-    /// [`Frame::Checkpoint`]. `None` serves without durability (and
-    /// refuses `Checkpoint` frames).
+    /// logged to the checkpoint directory before processing, and images
+    /// are published at the due epoch cuts. `None` serves without
+    /// durability.
     pub checkpoint: Option<CheckpointConfig>,
 }
 
@@ -707,33 +696,20 @@ pub struct ServeReport {
     pub stats_served: usize,
 }
 
-/// Records decoded per chunk by a [`serve`] reader thread: bounds each
-/// connection's reusable frame buffers at 32 KiB and keeps a frame's
-/// payload streaming through the lane instead of being materialised
-/// whole.
-const READ_CHUNK_RECORDS: usize = 4096;
-
 /// Serves one ingestion session over TCP: accepts
 /// [`producers`](ServeOptions::producers) connections, handshakes each
 /// ([`wire`] hello exchange), then streams their record frames through the
 /// deterministic [`IngestQueue`] merge into `system` until every
 /// connection sends [`Frame::Finish`]. Connections that sent
 /// [`Frame::StatsRequest`] receive a [`StatsSnapshot`] once ingestion
-/// completes. This is the loop behind the `catd` example, reused verbatim
-/// by the loopback differential tests.
+/// completes. The loop itself is the crate's one session loop, shared
+/// with the fleet router; this is what the `catd` example and the
+/// loopback differential tests run.
 ///
-/// Each reader thread decodes frames **zero-copy**: payload bytes land in
-/// a per-connection reusable buffer, are reinterpreted as packed records
-/// (the wire layout *is* the ring-slot layout — [`wire::pack_record`]),
-/// validated, and stored straight into the lane. No `Vec<(u32, u32)>` is
-/// ever materialised on the server's ingest path.
-///
-/// Record banks *and rows* are validated against the system geometry
-/// **at the connection** — a malformed client gets its connection errored
-/// instead of panicking the drain thread.
-///
-/// Backpressure: each connection's reader thread parks once its ring
-/// lane is full, which stalls the socket via TCP flow control.
+/// Each connection's reader thread decodes frames zero-copy into its
+/// lane, validates banks *and rows* against the served slice at the
+/// connection, and parks on a full lane, which stalls the socket via TCP
+/// flow control.
 ///
 /// ```no_run
 /// use std::net::TcpListener;
@@ -758,16 +734,17 @@ const READ_CHUNK_RECORDS: usize = 4096;
 ///
 /// # Errors
 ///
-/// Returns the first accept/handshake error, or the first connection's
-/// protocol error (out-of-order sequence number, out-of-range bank or
-/// row, malformed frame) after the drain completes. Ingested records are
-/// already reflected in `system` either way.
+/// [`io::ErrorKind::InvalidInput`] for zero producers or a zero queue
+/// capacity, before any connection is accepted. Otherwise the first
+/// accept/handshake error, a checkpoint drain error, or the first
+/// connection's protocol error (out-of-order sequence number,
+/// out-of-range bank or row, malformed frame) after the drain completes.
+/// Ingested records are already reflected in `system` either way.
 pub fn serve(
     listener: &TcpListener,
     system: &mut MemorySystem,
     options: &ServeOptions,
 ) -> io::Result<ServeReport> {
-    assert!(options.producers >= 1, "serve needs at least one producer");
     let hello = ServerHello {
         geometry: *system.geometry(),
         slice_start: system.slice().start_bank(),
@@ -777,228 +754,66 @@ pub fn serve(
         accesses: system.accesses(),
         epochs: system.epochs(),
     };
-    // Phase 1: accept and handshake every connection before spawning any
-    // reader, so a failed handshake aborts cleanly with no thread blocked
-    // on a queue nobody will drain.
-    let connections = accept_producers(listener, options.producers, &hello)?;
+    let sink = SystemSink::new(system, options.checkpoint.as_ref());
+    let (outcome, snapshot, stats_served) = session::run(
+        listener,
+        &hello,
+        options.producers,
+        options.queue_capacity,
+        sink,
+    )?;
+    Ok(ServeReport {
+        outcome,
+        snapshot,
+        stats_served,
+    })
+}
 
-    // Phase 2: one reader thread per connection, feeding its ring lane.
-    let (producers, mut consumer) = IngestQueue::bounded(options.producers, options.queue_capacity);
-    let owned = *system.slice();
-    let cuts_allowed = system.epoch_length().is_none();
-    // Set by any connection's Checkpoint frame, consumed by the drain at
-    // the next epoch cut (so a client-requested image is still
-    // cut-consistent). Handed to readers only when checkpointing is on —
-    // a None makes the frame a typed refusal instead of a silent no-op.
-    let checkpoint_requested = Arc::new(AtomicBool::new(false));
-    let mut readers: Vec<JoinHandle<io::Result<(TcpStream, bool)>>> =
-        Vec::with_capacity(options.producers);
-    for (stream, producer) in connections.into_iter().zip(producers) {
-        let requested = options
-            .checkpoint
-            .as_ref()
-            .map(|_| Arc::clone(&checkpoint_requested));
-        // A failed spawn (resource exhaustion) aborts the session as an
-        // error; already-spawned readers see the queue close when `consumer`
-        // drops below and error out of their sockets.
-        readers.push(
-            std::thread::Builder::new()
-                .name(format!("catd-reader-{}", producer.id()))
-                .spawn(move || read_connection(stream, producer, owned, cuts_allowed, requested))?,
-        );
-    }
+/// The `catd` session sink: drains the merge into a [`MemorySystem`] —
+/// through [`MemorySystem::ingest`], or the logging and checkpointing
+/// drain when a checkpoint directory is configured.
+pub(crate) struct SystemSink<'a> {
+    system: &'a mut MemorySystem,
+    checkpoint: Option<&'a CheckpointConfig>,
+    outcome: BatchOutcome,
+}
 
-    // Phase 3: drain the deterministic merge into the system — through
-    // the logging/checkpointing loop when durability is configured.
-    let outcome = match &options.checkpoint {
-        None => system.ingest(&mut consumer),
-        Some(cfg) => {
-            match drain_with_checkpoints(system, &mut consumer, cfg, &checkpoint_requested) {
-                Ok(outcome) => outcome,
-                Err(e) => {
-                    // A dead drain (disk full, corrupt log) must not leave
-                    // readers parked on full lanes: close the queue, let
-                    // them error out of their sockets, and report the
-                    // drain's error — the session is already failing.
-                    drop(consumer);
-                    for reader in readers {
-                        let _ = reader.join();
-                    }
-                    return Err(e);
-                }
-            }
+impl<'a> SystemSink<'a> {
+    pub(crate) fn new(
+        system: &'a mut MemorySystem,
+        checkpoint: Option<&'a CheckpointConfig>,
+    ) -> Self {
+        SystemSink {
+            system,
+            checkpoint,
+            outcome: BatchOutcome::default(),
         }
-    };
-
-    // Phase 4: join the readers and answer the stats requesters.
-    let footprint = system.footprint();
-    let snapshot = StatsSnapshot {
-        accesses: system.accesses(),
-        epochs: system.epochs(),
-        stats: system.stats(),
-        banks: footprint.banks as u64,
-        materialized_banks: footprint.materialized_banks as u64,
-        scheme_bytes: footprint.scheme_bytes as u64,
-    };
-    let mut stats_served = 0;
-    let mut first_error = None;
-    for reader in readers {
-        match reader.join() {
-            Ok(Ok((mut stream, wants_stats))) => {
-                if wants_stats {
-                    let sent =
-                        wire::write_stats(&mut stream, &snapshot).and_then(|()| stream.flush());
-                    match sent {
-                        Ok(()) => stats_served += 1,
-                        Err(e) => first_error = first_error.or(Some(e)),
-                    }
-                }
-            }
-            Ok(Err(e)) => first_error = first_error.or(Some(e)),
-            // A panicking reader is a bug, but it must not take the serve
-            // loop (and every other connection's stats reply) down with it.
-            Err(_panic) => {
-                first_error = first_error.or(Some(io::Error::other("ingest reader panicked")));
-            }
-        }
-    }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(ServeReport {
-            outcome,
-            snapshot,
-            stats_served,
-        }),
     }
 }
 
-/// Accepts and handshakes exactly `producers` connections, returning the
-/// streams in producer-id order. Each client *claims* its producer id
-/// (merge tie-break rank) in its hello — lane assignment must follow the
-/// client-side deal, not the racy TCP accept order — and a session's ids
-/// must form a permutation of `0..producers`. Shared by [`serve`] and the
-/// router tier ([`crate::router::serve`]).
-pub(crate) fn accept_producers(
-    listener: &TcpListener,
-    producers: usize,
-    hello: &ServerHello,
-) -> io::Result<Vec<TcpStream>> {
-    let mut connections: Vec<Option<TcpStream>> = (0..producers).map(|_| None).collect();
-    for _ in 0..producers {
-        let (mut stream, peer) = listener.accept()?;
-        let id = wire::read_client_hello(&mut stream)? as usize;
-        let slot = connections.get_mut(id).ok_or_else(|| {
-            bad(format!(
-                "{peer} claimed producer id {id}, session has {producers} producers"
-            ))
-        })?;
-        if slot.is_some() {
-            return Err(bad(format!("{peer} claimed producer id {id} twice")));
-        }
-        wire::write_server_hello(&mut stream, hello)?;
-        *slot = Some(stream);
-    }
-    // Every slot is filled: exactly `producers` connections were accepted
-    // and their ids form a permutation of `0..producers`.
-    Ok(connections.into_iter().flatten().collect())
-}
+impl Sink for SystemSink<'_> {
+    type Done = BatchOutcome;
 
-/// One connection's reader loop: frame headers → sequence check → chunked
-/// zero-copy payload decode → bank/row validation against the served
-/// slice → ring lane. Returns the stream (for the stats reply) and
-/// whether the client requested stats. Dropping `producer` on any exit
-/// finishes the lane, so the merge never waits on a dead connection (a
-/// batch cut short by an error is delivered as its prefix — the session
-/// is already failing). Out-of-slice banks and (when the system fires its
-/// own epoch boundaries) stream epoch cuts are refused **here, at the
-/// connection**: a misrouted client errors its own socket instead of
-/// corrupting the shared drain.
-pub(crate) fn read_connection(
-    stream: TcpStream,
-    mut producer: IngestProducer,
-    owned: GeometrySlice,
-    cuts_allowed: bool,
-    checkpoint_requested: Option<Arc<AtomicBool>>,
-) -> io::Result<(TcpStream, bool)> {
-    let peer = producer.id();
-    let rows = owned.geometry().rows_per_bank;
-    let mut reader = BufReader::new(stream);
-    let mut expected_seq = 0u64;
-    let mut wants_stats = false;
-    // Reused across every frame of the connection: the raw payload bytes
-    // and their packed-u64 view. The packed view IS the ring-slot layout,
-    // so decode is `read_exact` + `from_le_bytes` and nothing else.
-    let mut payload = Vec::new();
-    let mut packed = Vec::new();
-    loop {
-        match wire::read_frame_header(&mut reader)? {
-            FrameHeader::Records { seq, count } => {
-                if seq != expected_seq {
-                    return Err(bad(format!(
-                        "producer {peer}: sequence {seq}, expected {expected_seq}"
-                    )));
-                }
-                expected_seq += 1;
-                producer
-                    .begin_batch(count as usize)
-                    .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e))?;
-                let mut remaining = count as usize;
-                while remaining > 0 {
-                    let take = remaining.min(READ_CHUNK_RECORDS);
-                    wire::read_packed_records(&mut reader, &mut payload, &mut packed, take)?;
-                    // Both coordinates are checked here, at the connection:
-                    // the schemes downstream assert on out-of-range rows
-                    // (e.g. the counter-cache bounds check), and a panic on
-                    // the shared drain thread would take the whole session
-                    // down instead of just this socket.
-                    if let Some(&offending) = packed.iter().find(|&&p| {
-                        let (bank, row) = wire::unpack_record(p);
-                        !owned.contains(bank) || row >= rows
-                    }) {
-                        let (bank, row) = wire::unpack_record(offending);
-                        return Err(bad(format!(
-                            "producer {peer}: record (bank {bank}, row {row}) out of range \
-                             for a backend owning {owned} with {rows}-row banks"
-                        )));
-                    }
-                    producer
-                        .write_packed(&packed)
-                        .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e))?;
-                    remaining -= take;
-                }
-            }
-            FrameHeader::StatsRequest => wants_stats = true,
-            FrameHeader::Finish => return Ok((reader.into_inner(), wants_stats)),
-            FrameHeader::Checkpoint => match &checkpoint_requested {
-                Some(flag) => flag.store(true, Ordering::SeqCst),
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        format!(
-                            "producer {peer}: checkpoint requested, but the server \
-                             runs without a checkpoint directory"
-                        ),
-                    ));
-                }
-            },
-            FrameHeader::EpochCut { seq } => {
-                if seq != expected_seq {
-                    return Err(bad(format!(
-                        "producer {peer}: sequence {seq}, expected {expected_seq}"
-                    )));
-                }
-                expected_seq += 1;
-                if !cuts_allowed {
-                    return Err(bad(format!(
-                        "producer {peer}: stream epoch cut, but the server fires its \
-                         own epoch boundaries"
-                    )));
-                }
-                producer
-                    .send_cut()
-                    .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e))?;
-            }
-        }
+    fn drain(&mut self, consumer: &mut IngestConsumer) -> io::Result<()> {
+        self.outcome = match self.checkpoint {
+            None => self.system.ingest(consumer),
+            Some(cfg) => drain_with_checkpoints(self.system, consumer, cfg)?,
+        };
+        Ok(())
+    }
+
+    fn finish(self) -> io::Result<(StatsSnapshot, BatchOutcome)> {
+        let system = &*self.system;
+        let footprint = system.footprint();
+        let snapshot = StatsSnapshot {
+            accesses: system.accesses(),
+            epochs: system.epochs(),
+            stats: system.stats(),
+            banks: footprint.banks as u64,
+            materialized_banks: footprint.materialized_banks as u64,
+            scheme_bytes: footprint.scheme_bytes as u64,
+        };
+        Ok((snapshot, self.outcome))
     }
 }
 
@@ -1111,19 +926,6 @@ impl IngestClient {
         Ok(())
     }
 
-    /// Sends [`Frame::Checkpoint`]: ask a checkpointing server to publish
-    /// an image at the next epoch cut. Flushes so the request is not
-    /// stuck behind buffered records. A server running without
-    /// checkpointing refuses the frame (this connection errors).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn request_checkpoint(&mut self) -> io::Result<()> {
-        wire::write_frame(&mut self.writer, &Frame::Checkpoint)?;
-        self.writer.flush()
-    }
-
     /// Sends [`Frame::Finish`] and closes the connection without asking
     /// for stats.
     ///
@@ -1158,6 +960,12 @@ mod tests {
         (0..len as u32).map(|i| (tag, i)).collect()
     }
 
+    /// The next merged record batch as its own `Vec`, `None` once drained.
+    fn next_batch(consumer: &mut IngestConsumer) -> Option<Vec<(u32, u32)>> {
+        let mut out = Vec::new();
+        consumer.next_batch_into(&mut out).then_some(out)
+    }
+
     #[test]
     fn merge_is_by_seq_then_producer_regardless_of_arrival() {
         let (mut handles, mut consumer) = IngestQueue::bounded(3, 1 << 20);
@@ -1172,7 +980,7 @@ mod tests {
         p2.send(&batch(21, 2)).unwrap();
         p0.send(&batch(1, 1)).unwrap();
         drop((p0, p1, p2));
-        let tags: Vec<u32> = std::iter::from_fn(|| consumer.next_batch())
+        let tags: Vec<u32> = std::iter::from_fn(|| next_batch(&mut consumer))
             .map(|b| b[0].0)
             .collect();
         assert_eq!(tags, [0, 10, 20, 1, 11, 21]);
@@ -1192,9 +1000,9 @@ mod tests {
             drop(p0);
         });
         drop(p1);
-        assert_eq!(consumer.next_batch().unwrap()[0].0, 50, "p0 first");
-        assert_eq!(consumer.next_batch().unwrap()[0].0, 100);
-        assert_eq!(consumer.next_batch(), None);
+        assert_eq!(next_batch(&mut consumer).unwrap()[0].0, 50, "p0 first");
+        assert_eq!(next_batch(&mut consumer).unwrap()[0].0, 100);
+        assert_eq!(next_batch(&mut consumer), None);
         sender.join().unwrap();
     }
 
@@ -1209,7 +1017,7 @@ mod tests {
         p0.send(&batch(1, 1)).unwrap();
         p2.send(&batch(2, 1)).unwrap();
         drop((p0, p2));
-        let tags: Vec<u32> = std::iter::from_fn(|| consumer.next_batch())
+        let tags: Vec<u32> = std::iter::from_fn(|| next_batch(&mut consumer))
             .map(|b| b[0].0)
             .collect();
         assert_eq!(tags, [0, 2, 1]);
@@ -1226,10 +1034,10 @@ mod tests {
         });
         std::thread::sleep(std::time::Duration::from_millis(50));
         assert!(!blocked.is_finished(), "send must block on a full ring");
-        assert_eq!(consumer.next_batch().unwrap().len(), 10);
+        assert_eq!(next_batch(&mut consumer).unwrap().len(), 10);
         blocked.join().unwrap();
-        assert_eq!(consumer.next_batch().unwrap().len(), 5);
-        assert_eq!(consumer.next_batch(), None);
+        assert_eq!(next_batch(&mut consumer).unwrap().len(), 5);
+        assert_eq!(next_batch(&mut consumer), None);
     }
 
     #[test]
@@ -1242,9 +1050,9 @@ mod tests {
             p.send(&batch(0, 100)).unwrap();
             drop(p);
         });
-        assert_eq!(consumer.next_batch().unwrap(), batch(0, 100));
+        assert_eq!(next_batch(&mut consumer).unwrap(), batch(0, 100));
         sender.join().unwrap();
-        assert_eq!(consumer.next_batch(), None);
+        assert_eq!(next_batch(&mut consumer), None);
     }
 
     #[test]
@@ -1284,10 +1092,10 @@ mod tests {
             assert_eq!(p.begin_batch(1).unwrap(), 1);
             p.write_records(&[(3, 9)]).unwrap();
         });
-        assert_eq!(consumer.next_batch().unwrap(), expected);
-        assert_eq!(consumer.next_batch(), Some(vec![(3, 9)]));
+        assert_eq!(next_batch(&mut consumer).unwrap(), expected);
+        assert_eq!(next_batch(&mut consumer), Some(vec![(3, 9)]));
         sender.join().unwrap();
-        assert_eq!(consumer.next_batch(), None);
+        assert_eq!(next_batch(&mut consumer), None);
     }
 
     #[test]
@@ -1297,8 +1105,8 @@ mod tests {
         p.begin_batch(10).unwrap();
         p.write_records(&[(0, 1), (0, 2)]).unwrap();
         drop(p); // the reader thread errored out of its socket mid-frame
-        assert_eq!(consumer.next_batch(), Some(vec![(0, 1), (0, 2)]));
-        assert_eq!(consumer.next_batch(), None);
+        assert_eq!(next_batch(&mut consumer), Some(vec![(0, 1), (0, 2)]));
+        assert_eq!(next_batch(&mut consumer), None);
     }
 
     #[test]
@@ -1308,9 +1116,9 @@ mod tests {
         p.send(&[]).unwrap();
         p.send(&[(1, 2)]).unwrap();
         drop(p);
-        assert_eq!(consumer.next_batch(), Some(vec![]));
-        assert_eq!(consumer.next_batch(), Some(vec![(1, 2)]));
-        assert_eq!(consumer.next_batch(), None);
+        assert_eq!(next_batch(&mut consumer), Some(vec![]));
+        assert_eq!(next_batch(&mut consumer), Some(vec![(1, 2)]));
+        assert_eq!(next_batch(&mut consumer), None);
     }
 
     #[test]

@@ -99,6 +99,7 @@ pub mod checkpoint;
 mod codec;
 pub mod ingest;
 pub mod router;
+mod session;
 mod sparse;
 mod system;
 pub mod wire;

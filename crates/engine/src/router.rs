@@ -14,7 +14,7 @@
 //!
 //! The router owns the **epoch clock**. Backends run clockless (their
 //! handshake must advertise no epoch length) and receive
-//! [`wire::Frame::EpochCut`] at every global epoch boundary — either
+//! [`crate::wire::Frame::EpochCut`] at every global epoch boundary — either
 //! counted off by the router's own `epoch_len` or forwarded from the
 //! client stream. Every backend gets every cut, at the exact record
 //! position the single-host system would have cut, so per-backend epoch
@@ -27,20 +27,20 @@
 //! equals the unpartitioned totals exactly — associativity of the merge
 //! is what makes the fleet ≡ single-host differential hold bit for bit.
 //!
-//! [`serve`] wraps all of that in the `catd`-shaped TCP loop: accept N
-//! client producers, advertise the **union** geometry, drain the
+//! [`serve`] runs `catd`'s own session loop with the router as its sink:
+//! accept N client producers, advertise the **union** geometry, drain the
 //! deterministic merge through the router, reply the merged snapshot to
 //! stats requesters. The `catd_router` example is this function behind a
 //! command line.
 
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
-use std::thread::JoinHandle;
 
 use crate::codec::bad;
-use crate::ingest::{accept_producers, read_connection, IngestClient, IngestEvent, IngestQueue};
-use crate::wire::{self, ServerHello, StatsSnapshot};
-use crate::{GeometrySlice, Partition};
+use crate::ingest::{IngestClient, IngestConsumer, IngestEvent};
+use crate::session::{self, Sink};
+use crate::wire::{ServerHello, StatsSnapshot};
+use crate::Partition;
 
 use cat_core::SchemeStats;
 
@@ -55,7 +55,7 @@ pub struct RouterOptions {
     pub queue_capacity: usize,
     /// The router's epoch clock: `Some(n)` cuts every backend after every
     /// `n` records of the merged stream (and refuses client cuts); `None`
-    /// runs clockless and forwards client [`wire::Frame::EpochCut`]s.
+    /// runs clockless and forwards client [`crate::wire::Frame::EpochCut`]s.
     pub epoch_len: Option<u64>,
     /// Connection attempts per backend ([`IngestClient::connect_with_retry`]):
     /// a fleet usually starts all at once, so the router must tolerate
@@ -244,21 +244,6 @@ impl IngestRouter {
         &self.spec
     }
 
-    /// The router's epoch clock ([`RouterOptions::epoch_len`]).
-    pub fn epoch_len(&self) -> Option<u64> {
-        self.epoch_len
-    }
-
-    /// Records scattered this session.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Epoch cuts sent to the fleet this session.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
     /// The fleet's global stream position: what the backends held when
     /// the session opened (their handshakes) plus what this session
     /// scattered.
@@ -334,7 +319,7 @@ impl IngestRouter {
         self.cut_fleet()
     }
 
-    /// Flushes every scatter buffer, then sends [`wire::Frame::EpochCut`]
+    /// Flushes every scatter buffer, then sends [`crate::wire::Frame::EpochCut`]
     /// to **every** backend: each slice cuts at the same global stream
     /// position, keeping per-epoch accounting aligned across the fleet.
     fn cut_fleet(&mut self) -> io::Result<()> {
@@ -412,35 +397,57 @@ impl IngestRouter {
     }
 }
 
+/// The router as a session sink: scatters the merged client stream
+/// (forwarding client cuts when clockless), then gathers the fleet.
+impl Sink for IngestRouter {
+    type Done = RouterReport;
+
+    fn drain(&mut self, consumer: &mut IngestConsumer) -> io::Result<()> {
+        let mut staged = Vec::new();
+        while let Some(event) = consumer.next_event_into(&mut staged) {
+            match event {
+                IngestEvent::Records(_) => {
+                    self.scatter(&staged)?;
+                    staged.clear();
+                }
+                IngestEvent::EpochCut => self.cut()?,
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> io::Result<(StatsSnapshot, RouterReport)> {
+        let report = self.finish_with_stats()?;
+        Ok((report.snapshot, report))
+    }
+}
+
 /// Serves one fleet session over TCP: connects to the `backends` (one
 /// per partition slice), then accepts
 /// [`producers`](RouterOptions::producers) client connections exactly
 /// like [`crate::ingest::serve`] — advertising the **union** geometry,
 /// the backends' scheme spec, and the router's epoch clock — and drains
 /// the deterministic client merge through an [`IngestRouter`]. Clients
-/// cannot tell a fleet from a single host: same wire handshake, same
+/// cannot tell a fleet from a single host: same session loop, same
 /// validation, and a bit-identical final snapshot.
 ///
 /// # Errors
 ///
 /// Backend connection/handshake errors ([`IngestRouter::connect`]),
-/// accept/handshake errors, the first client connection's protocol
-/// error, or a fleet accounting mismatch at session end.
+/// [`io::ErrorKind::InvalidInput`] for zero producers or a zero queue
+/// capacity, accept/handshake errors, the first client connection's
+/// protocol error, or a fleet accounting mismatch at session end.
 pub fn serve<A: ToSocketAddrs>(
     listener: &TcpListener,
     partition: &Partition,
     backends: &[A],
     options: &RouterOptions,
 ) -> io::Result<RouterReport> {
-    if options.producers < 1 {
-        return Err(bad("serve needs at least one producer"));
-    }
     // Backends first: a misconfigured fleet must fail before any client
     // is accepted (and a slow-starting backend is awaited here, not
     // mid-stream).
-    let mut router = IngestRouter::connect(partition, backends, options)?;
+    let router = IngestRouter::connect(partition, backends, options)?;
     let geometry = *partition.geometry();
-    let owned = GeometrySlice::full(geometry).map_err(|e| bad(e.to_string()))?;
     let hello = ServerHello {
         geometry,
         slice_start: 0,
@@ -450,76 +457,13 @@ pub fn serve<A: ToSocketAddrs>(
         accesses: router.fleet_accesses(),
         epochs: router.fleet_epochs(),
     };
-    let connections = accept_producers(listener, options.producers, &hello)?;
-
-    // One reader per client, exactly as in `ingest::serve`: the same
-    // validation at the connection, the same deterministic merge. Client
-    // cuts are admitted only when the router runs clockless; the router
-    // never checkpoints itself (backends do), so `Checkpoint` frames are
-    // refused with a typed error.
-    let (producers, mut consumer) = IngestQueue::bounded(options.producers, options.queue_capacity);
-    let cuts_allowed = options.epoch_len.is_none();
-    let mut readers: Vec<JoinHandle<io::Result<(std::net::TcpStream, bool)>>> =
-        Vec::with_capacity(options.producers);
-    for (stream, producer) in connections.into_iter().zip(producers) {
-        readers.push(
-            std::thread::Builder::new()
-                .name(format!("catd-router-reader-{}", producer.id()))
-                .spawn(move || read_connection(stream, producer, owned, cuts_allowed, None))?,
-        );
-    }
-
-    // Drain the merge through the scatter stage. A dead backend must not
-    // leave readers parked on full lanes: close the queue, join, report.
-    let mut staged = Vec::new();
-    loop {
-        let step = match consumer.next_event_into(&mut staged) {
-            None => break,
-            Some(IngestEvent::Records(_)) => {
-                let routed = router.scatter(&staged);
-                staged.clear();
-                routed
-            }
-            Some(IngestEvent::EpochCut) => router.cut(),
-        };
-        if let Err(e) = step {
-            drop(consumer);
-            for reader in readers {
-                let _ = reader.join();
-            }
-            return Err(e);
-        }
-    }
-
-    // The merge drained: every reader has returned. Join them, gather the
-    // fleet, and answer the stats requesters with the *merged* snapshot.
-    let mut streams = Vec::new();
-    let mut first_error = None;
-    for reader in readers {
-        match reader.join() {
-            Ok(Ok(done)) => streams.push(done),
-            Ok(Err(e)) => first_error = first_error.or(Some(e)),
-            Err(_panic) => {
-                first_error = first_error.or(Some(io::Error::other("ingest reader panicked")));
-            }
-        }
-    }
-    let mut report = match router.finish_with_stats() {
-        Ok(report) => report,
-        Err(e) => return Err(first_error.unwrap_or(e)),
-    };
-    for (mut stream, wants_stats) in streams {
-        if wants_stats {
-            let sent = wire::write_stats(&mut stream, &report.snapshot)
-                .and_then(|()| io::Write::flush(&mut stream));
-            match sent {
-                Ok(()) => report.stats_served += 1,
-                Err(e) => first_error = first_error.or(Some(e)),
-            }
-        }
-    }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
+    let (mut report, _, stats_served) = session::run(
+        listener,
+        &hello,
+        options.producers,
+        options.queue_capacity,
+        router,
+    )?;
+    report.stats_served = stats_served;
+    Ok(report)
 }

@@ -13,16 +13,17 @@
 //! ## Session layout
 //!
 //! ```text
-//! client                                server (catd)
+//! client                                server (catd or router)
 //!   │  ClientHello {magic, version,        │
 //!   │    producer id}                      │
 //!   ├──────────────────────────────────────►
 //!   │  ServerHello {magic, version,        │
-//!   │    geometry, spec, epoch_len}        │
+//!   │    geometry, slice, spec, epoch_len, │
+//!   │    accesses, epochs}                 │
 //!   ◄──────────────────────────────────────┤
 //!   │  Records {seq, (bank,row)*}          │  any number, seq = 0,1,2,…
-//!   ├──────────────────────────────────────►
-//!   │  Frame::Checkpoint    (optional)     │  any number, any time
+//!   │  Frame::EpochCut {seq} (clockless    │  interleaved with Records,
+//!   │    servers only)                     │  in the same seq space
 //!   ├──────────────────────────────────────►
 //!   │  Frame::StatsRequest  (optional)     │
 //!   ├──────────────────────────────────────►
@@ -40,12 +41,12 @@
 //! [`std::io::ErrorKind::InvalidData`] — a protocol violation and a
 //! truncated stream are both connection-fatal.
 //!
-//! Version 2 adds the checkpoint request (`DESIGN.md §11`):
-//! [`Frame::Checkpoint`] asks a checkpointing server to publish an image
-//! at the next epoch cut (a no-op tagged byte; servers without
-//! `--checkpoint-dir` refuse it). Recovery happens at startup via
-//! `--resume`, never on a live system, so no frame carries an image: tag
-//! `0x05`, once an inline restore image, is refused as an unknown tag.
+//! Version 2 added a checkpoint request (tag `0x04`) and an inline
+//! restore image (tag `0x05`). Both are gone and refused as unknown tags:
+//! a checkpointing server publishes images only at its due epoch cuts,
+//! and recovery happens at startup via `--resume`, never on a live
+//! system (`DESIGN.md §11`). The version stays 3, as no current peer
+//! sends either tag.
 //!
 //! Version 3 adds the partitioned datapath (`DESIGN.md §12`): the
 //! [`ServerHello`] advertises the bank slice the backend owns
@@ -73,7 +74,7 @@ pub const MAGIC: [u8; 4] = *b"CATW";
 
 /// Wire format version. Bump on any incompatible change; peers with a
 /// different version refuse the handshake instead of misparsing frames.
-/// Version 2 added [`Frame::Checkpoint`] (and an inline restore frame,
+/// Version 2 added a checkpoint request and an inline restore frame (both
 /// since dropped); version 3 added the [`ServerHello`] slice fields,
 /// [`Frame::EpochCut`], and the [`StatsSnapshot`] footprint counters.
 pub const VERSION: u16 = 3;
@@ -229,10 +230,6 @@ pub enum Frame {
     StatsRequest,
     /// This producer is done; no further frames follow on this connection.
     Finish,
-    /// Ask a checkpointing server to publish a checkpoint image at the
-    /// next epoch cut (`DESIGN.md §11`). Servers without checkpointing
-    /// configured refuse the frame (connection-fatal).
-    Checkpoint,
     /// An epoch boundary in the producer's record stream (`DESIGN.md
     /// §12`): the router owns the fleet's epoch clock and delivers each
     /// cut to every backend at the exact stream position it fired, so
@@ -249,7 +246,6 @@ pub enum Frame {
 const TAG_RECORDS: u8 = 0x01;
 const TAG_STATS_REQUEST: u8 = 0x02;
 const TAG_FINISH: u8 = 0x03;
-const TAG_CHECKPOINT: u8 = 0x04;
 const TAG_EPOCH_CUT: u8 = 0x06;
 
 /// Encodes a records frame into `buf` (cleared first): tag, sequence
@@ -286,7 +282,6 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     match frame {
         Frame::StatsRequest => buf.push(TAG_STATS_REQUEST),
         Frame::Finish => buf.push(TAG_FINISH),
-        Frame::Checkpoint => buf.push(TAG_CHECKPOINT),
         Frame::EpochCut { seq } => {
             buf.push(TAG_EPOCH_CUT);
             put_u64(&mut buf, *seq);
@@ -313,8 +308,6 @@ pub enum FrameHeader {
     StatsRequest,
     /// A [`Frame::Finish`] (no payload).
     Finish,
-    /// A [`Frame::Checkpoint`] (no payload).
-    Checkpoint,
     /// A [`Frame::EpochCut`] (no payload beyond the sequence number).
     EpochCut {
         /// Producer-local sequence number, shared with records frames.
@@ -345,7 +338,6 @@ pub fn read_frame_header<R: Read>(r: &mut R) -> io::Result<FrameHeader> {
         }
         TAG_STATS_REQUEST => Ok(FrameHeader::StatsRequest),
         TAG_FINISH => Ok(FrameHeader::Finish),
-        TAG_CHECKPOINT => Ok(FrameHeader::Checkpoint),
         TAG_EPOCH_CUT => {
             let seq: [u8; 8] = read_array(r)?;
             let seq = ByteReader::new(&seq).u64("sequence number")?;
@@ -529,7 +521,6 @@ mod tests {
         let frames = [
             (Frame::StatsRequest, FrameHeader::StatsRequest),
             (Frame::Finish, FrameHeader::Finish),
-            (Frame::Checkpoint, FrameHeader::Checkpoint),
             (
                 Frame::EpochCut { seq: 17 },
                 FrameHeader::EpochCut { seq: 17 },
@@ -576,11 +567,18 @@ mod tests {
         let oversized = vec![(0u32, 0u32); MAX_RECORDS_PER_FRAME as usize + 1];
         assert!(encode_records(&mut Vec::new(), 0, &oversized).is_err());
 
-        // No peer sends tag 0x05 (once an inline restore image): it is
-        // refused as unknown before the length that followed it is read.
-        let err = read_frame_header(&mut [0x05, 0xff, 0xff, 0xff, 0xff].as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("unknown frame tag 0x05"), "{err}");
+        // No peer sends tag 0x04 (once a checkpoint request) or 0x05 (once
+        // an inline restore image): both are refused as unknown before
+        // anything that followed them is read.
+        for tag in [0x04u8, 0x05] {
+            let err = read_frame_header(&mut [tag, 0xff, 0xff, 0xff, 0xff].as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown frame tag {tag:#04x}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

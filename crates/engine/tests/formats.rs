@@ -88,7 +88,6 @@ fn frame_bytes() {
     for (frame, expected) in [
         (Frame::StatsRequest, "02"),
         (Frame::Finish, "03"),
-        (Frame::Checkpoint, "04"),
         (Frame::EpochCut { seq: 17 }, "06 1100000000000000"),
     ] {
         let mut buf = Vec::new();

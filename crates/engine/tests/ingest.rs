@@ -337,3 +337,25 @@ fn duplicate_producer_ids_are_rejected_at_the_handshake() {
     drop(first);
     let _ = second.join().unwrap();
 }
+
+#[test]
+fn zero_producers_is_a_typed_error_before_any_accept() {
+    let spec = SchemeSpec::Sca {
+        counters: 16,
+        threshold: 64,
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut system = MemorySystem::new(geometry(), spec);
+    for (producers, queue_capacity) in [(0, 1 << 10), (1, 0)] {
+        // Returns at once: a session that accepted first would block
+        // here, as no client ever connects.
+        let options = ServeOptions {
+            producers,
+            queue_capacity,
+            checkpoint: None,
+        };
+        let err = serve(&listener, &mut system, &options).expect_err("must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{options:?}");
+    }
+    assert_eq!(system.accesses(), 0);
+}

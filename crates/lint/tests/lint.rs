@@ -101,6 +101,18 @@ fn panic_path_bad_fragment_is_rejected() {
 }
 
 #[test]
+fn panic_path_covers_the_session_loop() {
+    // The session loop reads peer frames for both catd and the router.
+    let src = include_str!("fixtures/panic_path_bad.rs");
+    let v = lint_source("crates/engine/src/session.rs", src);
+    assert_eq!(
+        skeleton(&v),
+        vec![(5, "panic-path"), (7, "panic-path"), (15, "panic-path")],
+        "session.rs diagnostics: {v:#?}"
+    );
+}
+
+#[test]
 fn panic_path_good_fragment_is_clean() {
     let src = include_str!("fixtures/panic_path_good.rs");
     assert_eq!(lint_source("crates/engine/src/ingest.rs", src), []);

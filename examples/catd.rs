@@ -23,9 +23,9 @@
 //! - `--checkpoint-dir <dir>` — log every merged batch to `<dir>` before
 //!   processing and publish a checkpoint image at epoch cuts; a killed
 //!   session becomes resumable.
-//! - `--checkpoint-epochs <n>` — publish a periodic image every `n`
-//!   epochs instead of every one (clients can still request one with the
-//!   `Checkpoint` frame).
+//! - `--checkpoint-epochs <n>` — publish an image every `n` epochs
+//!   instead of every one; these due cuts and the final aligned cut are
+//!   the only places images are published.
 //! - `--resume` — before serving, recover state from `--checkpoint-dir`
 //!   (image + trace-log tail). The session configuration must match the
 //!   one checkpointed; prints `catd: resumed N accesses` for scripts.
