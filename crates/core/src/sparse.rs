@@ -256,6 +256,11 @@ impl<T> SparseSlab<T> {
                 if block.mask & bit != 0 {
                     Some(std::mem::replace(&mut v[rank], value))
                 } else {
+                    // Grow exactly: a packed block's payload never holds
+                    // a spare slot (a lone bank in its block costs one
+                    // payload, not the four of `Vec`'s first growth).
+                    // Cold path: it runs only when an index first fills.
+                    v.reserve_exact(1);
                     v.insert(rank, value);
                     block.mask |= bit;
                     self.occupied += 1;
@@ -555,6 +560,26 @@ mod tests {
         let shallow = slab.heap_bytes();
         let deep = slab.heap_bytes_with(|v| v.capacity());
         assert_eq!(deep, shallow + 1024);
+    }
+
+    #[test]
+    fn packed_payloads_grow_exactly() {
+        // A lone entry in its block reserves one payload slot, not four;
+        // every later insert grows the block by exactly one.
+        let mut slab: SparseSlab<[u64; 40]> = SparseSlab::new(1 << 20);
+        slab.insert(97 * 64, [0; 40]);
+        let payload = |slab: &SparseSlab<[u64; 40]>, b: usize| match &slab.blocks[b].store {
+            Store::Packed(v) => v.capacity(),
+            Store::Direct(_) => panic!("block {b} promoted"),
+        };
+        assert_eq!(payload(&slab, 97), 1);
+        for (n, idx) in [97 * 64 + 5, 97 * 64 + 1, 97 * 64 + 60]
+            .into_iter()
+            .enumerate()
+        {
+            slab.insert(idx, [0; 40]);
+            assert_eq!(payload(&slab, 97), n + 2);
+        }
     }
 
     #[test]

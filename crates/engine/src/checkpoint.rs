@@ -6,7 +6,7 @@
 //! every materialized scheme instance's counters, tree shape and PRNG
 //! state (via the schemes' `save_state` word streams), the sparse slabs'
 //! occupancy **and** their touch-order-dependent block-directory
-//! capacities, the epoch position, and the scratch-buffer high-water
+//! capacities, the epoch position, and the batch grouping's high-water
 //! marks. Restoring an image into a freshly built engine of the same
 //! configuration therefore reproduces not just bit-identical stats for
 //! the rest of the run but a bit-identical [`crate::EngineFootprint`] —
@@ -41,6 +41,7 @@ use cat_core::{StateError, StateReader};
 use crate::codec::{
     bad, put_geometry, put_header, put_str, put_u32, put_u64, read_array, ByteReader,
 };
+use crate::group::Grouping;
 use crate::ingest::{IngestConsumer, IngestEvent};
 use crate::wire::{pack_record, unpack_record, MAX_SPEC_LEN};
 use crate::{BankEngine, BatchOutcome, MemorySystem};
@@ -57,8 +58,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CATC";
 /// its slice and cannot be restored into a backend serving a different
 /// partition. Version 3 dropped the system section's activation-scratch
 /// capacity: sharded batches no longer keep system-wide scratch, so the
-/// image no longer depends on the shard count.
-pub const CHECKPOINT_VERSION: u16 = 3;
+/// image no longer depends on the shard count. Version 4 replaced the
+/// engine section's four counting-sort scratch capacities with the five
+/// capacities of the batch grouping (rows, runs, segments, keys, pairs),
+/// which the system section now also carries for its own grouping.
+pub const CHECKPOINT_VERSION: u16 = 4;
 
 /// Hard cap on a checkpoint image/file size — bounds what [`resume_from_dir`]
 /// will read into memory.
@@ -251,8 +255,8 @@ fn read_position(r: &mut ByteReader<'_>, own: Option<u64>) -> io::Result<(u64, u
 /// u64 scheme_block_cap         scheme slab directory capacity (high-water)
 /// u64 materialized             then per bank ascending:
 ///                                u64 bank, u64 nwords, nwords × u64 state
-/// u64 × 4                      scratch capacities: act, seg_cursor,
-///                                touched, row_scratch (high-water marks)
+/// u64 × 5                      grouping capacities: rows, runs,
+///                                segments, keys, pairs (high-water marks)
 /// ```
 fn encode_engine_section(e: &BankEngine, out: &mut Vec<u8>) -> io::Result<()> {
     put_str(
@@ -292,10 +296,28 @@ fn encode_engine_section(e: &BankEngine, out: &mut Vec<u8>) -> io::Result<()> {
         }
     }
 
-    put_u64(out, e.act_scratch.capacity() as u64);
-    put_u64(out, e.seg_cursor.capacity() as u64);
-    put_u64(out, e.touched.capacity() as u64);
-    put_u64(out, e.row_scratch.capacity() as u64);
+    put_grouping(out, &e.grouping);
+    Ok(())
+}
+
+/// Appends a grouping's buffer capacities, in
+/// [`Grouping::capacities`] order.
+fn put_grouping(out: &mut Vec<u8>, grouping: &Grouping) {
+    for cap in grouping.capacities() {
+        put_u64(out, cap as u64);
+    }
+}
+
+/// Reads a [`put_grouping`] block and reserves it on a fresh grouping:
+/// the buffers are empty, so `reserve_exact` reproduces the saved
+/// capacities exactly, and later fills grow them exactly as the original
+/// run's would.
+fn read_grouping(r: &mut ByteReader<'_>, grouping: &mut Grouping) -> io::Result<()> {
+    let mut caps = [0usize; 5];
+    for cap in &mut caps {
+        *cap = r.bounded(MAX_SCRATCH_CAP, 0, "grouping capacity")?;
+    }
+    grouping.reserve_exact(caps);
     Ok(())
 }
 
@@ -393,18 +415,7 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
         sr.finish().map_err(state_err)?;
     }
 
-    // Scratch high-water marks: the restored Vecs are empty, so
-    // `reserve_exact` reproduces the saved capacities exactly; later
-    // fills stay within them because the saved value was the original
-    // run's high-water mark.
-    let act_scratch = r.bounded(MAX_SCRATCH_CAP, 0, "act_scratch capacity")?;
-    e.act_scratch.reserve_exact(act_scratch);
-    let seg_cursor = r.bounded(MAX_SCRATCH_CAP, 0, "seg_cursor capacity")?;
-    e.seg_cursor.reserve_exact(seg_cursor);
-    let touched = r.bounded(MAX_SCRATCH_CAP, 0, "touched capacity")?;
-    e.touched.reserve_exact(touched);
-    let row_scratch = r.bounded(MAX_SCRATCH_CAP, 0, "row_scratch capacity")?;
-    e.row_scratch.reserve_exact(row_scratch);
+    read_grouping(r, &mut e.grouping)?;
 
     e.accesses = accesses;
     e.epochs = epochs;
@@ -416,14 +427,16 @@ fn decode_engine_section(e: &mut BankEngine, r: &mut ByteReader<'_>) -> io::Resu
 // ---------------------------------------------------------------------------
 
 /// Appends one system's complete state: geometry + owned slice + epoch
-/// clock + counters, the system-level scratch high-water marks, then
-/// every engine's section in slice order.
+/// clock + counters, the system-level scratch high-water marks (staging
+/// buffer, then the grouping), then every engine's section in slice
+/// order.
 fn encode_system_section(s: &MemorySystem, out: &mut Vec<u8>) -> io::Result<()> {
     put_geometry(out, &s.geometry);
     put_u32(out, s.owned.start_bank());
     put_u32(out, s.owned.banks());
     put_position(out, s.epoch_len, s.accesses, s.epochs);
     put_u64(out, s.staged.capacity() as u64);
+    put_grouping(out, &s.grouping);
     put_u32(out, s.engines.len() as u32);
     for engine in &s.engines {
         encode_engine_section(engine, out)?;
@@ -448,6 +461,7 @@ fn decode_system_section(s: &mut MemorySystem, r: &mut ByteReader<'_>) -> io::Re
     let (accesses, epochs) = read_position(r, s.epoch_len)?;
     let staged = r.bounded(MAX_SCRATCH_CAP, 0, "staging buffer capacity")?;
     s.staged.reserve_exact(staged);
+    read_grouping(r, std::sync::Arc::make_mut(&mut s.grouping))?;
     let engines = r.u32("engine count")? as usize;
     if engines != s.engines.len() {
         return Err(bad(format!(
@@ -1101,25 +1115,29 @@ mod tests {
 
     #[test]
     fn images_of_other_versions_are_refused() {
-        // A version-2 image carried a system act_scratch capacity that a
-        // version-3 reader would misparse: the header check refuses it
-        // with a typed error before any field is read, even under a valid
-        // seal.
+        // A version-3 image carried four counting-sort scratch
+        // capacities per engine and none for the system grouping, and a
+        // version-2 one a system act_scratch capacity: a version-4 reader
+        // would misparse either. The header check refuses them with a
+        // typed error before any field is read, even under a valid seal.
         let mut original = fresh();
         original.process(&trace(2000));
-        let mut image = original.checkpoint().unwrap();
+        let image = original.checkpoint().unwrap();
         assert_eq!(&image[4..6], &CHECKPOINT_VERSION.to_le_bytes());
-        image[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let body_len = image.len() - 8;
-        let h = fnv1a(&image[..body_len]).to_le_bytes();
-        image[body_len..].copy_from_slice(&h);
-        let err = fresh().restore(&image).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string()
-                .contains("checkpoint version 2, this build reads 3"),
-            "{err}"
-        );
+        for version in [2u16, 3] {
+            let mut image = image.clone();
+            image[4..6].copy_from_slice(&version.to_le_bytes());
+            let body_len = image.len() - 8;
+            let h = fnv1a(&image[..body_len]).to_le_bytes();
+            image[body_len..].copy_from_slice(&h);
+            let err = fresh().restore(&image).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains(&format!("checkpoint version {version}, this build reads 4")),
+                "{err}"
+            );
+        }
     }
 
     /// Deterministic LCG for the corruption sweeps (no external RNG and no
@@ -1213,7 +1231,7 @@ mod tests {
         // the forged offsets stay correct if the layout ever shifts.
         let mut r = ByteReader::new(&image[..body_len]);
         read_header(&mut r, SCOPE_SYSTEM).unwrap();
-        let sys_fixed = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 4; // geometry..engine count
+        let sys_fixed = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 5 * 8 + 4; // geometry..engine count
         r.take(sys_fixed, "system fields").unwrap();
         let spec_len = usize::from(r.u16("spec length").unwrap());
         let eng_fixed = spec_len + 12 + 9 + 16; // spec..epoch count
@@ -1243,7 +1261,7 @@ mod tests {
         let body_len = image.len() - 8;
         let mut r = ByteReader::new(&image[..body_len]);
         read_header(&mut r, SCOPE_SYSTEM).unwrap();
-        let sys_fixed = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 4; // geometry..engine count
+        let sys_fixed = 6 * 4 + 8 + 9 + 8 + 8 + 8 + 5 * 8 + 4; // geometry..engine count
         r.take(sys_fixed, "system fields").unwrap();
         let spec_len = usize::from(r.u16("spec length").unwrap());
         r.take(spec_len + 12 + 9 + 16 + 8, "engine fields").unwrap();

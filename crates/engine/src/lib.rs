@@ -20,15 +20,14 @@
 //!
 //! * **flat** — [`BankEngine::process`]: one engine over all banks,
 //!   sequential in the calling thread. The reference semantics.
-//! * **routed** — [`MemorySystem::process`]: the batch is scattered once
-//!   into per-engine sub-batches (one engine per channel by default, one
-//!   per slice of a [`Partition`]), the epoch boundary positions are
-//!   recorded per engine as *cut lists*, and each engine replays its
-//!   whole sub-batch in one [`BankEngine::process_with_cuts`] call —
+//! * **routed** — [`MemorySystem::process`]: the batch is grouped by
+//!   bank once per epoch segment (one stable radix sort), and each
+//!   engine (one per channel by default, one per slice of a
+//!   [`Partition`]) replays its contiguous share of the bank runs —
 //!   banks are visited once per batch, never once per epoch segment.
-//!   With [`MemorySystem::with_shards`] groups of engines make those
-//!   calls on persistent worker threads; the calls themselves do not
-//!   change.
+//!   With [`MemorySystem::with_shards`] groups of engines replay on
+//!   persistent worker threads, reading the one grouped batch; the
+//!   replay itself does not change.
 //!
 //! Single-access callers with their own epoch clock (the cycle-based
 //! timing simulator) use [`BankEngine::activate`] /
@@ -97,6 +96,7 @@
 mod address;
 pub mod checkpoint;
 mod codec;
+mod group;
 pub mod ingest;
 pub mod router;
 mod session;
@@ -111,6 +111,7 @@ pub use address::{
 pub use system::MemorySystem;
 
 use cat_core::{Refreshes, RowId, SchemeInstance, SchemeSpec, SchemeStats, SparseSlab};
+use group::Grouping;
 use sparse::SparseBanks;
 
 /// Computes the epoch **cut positions** inside a batch of `len` accesses:
@@ -119,7 +120,7 @@ use sparse::SparseBanks;
 /// strictly increasing, in `1..=len`; `cuts` is cleared first.
 ///
 /// This is *the* epoch-phase arithmetic — the flat batched path and the
-/// [`MemorySystem`] scatter both derive their cut lists here, so the
+/// [`MemorySystem`] batch path both derive their cut lists here, so the
 /// paths cannot drift apart (their bit-identical equivalence depends on
 /// agreeing about boundary positions, see `DESIGN.md §7`).
 pub(crate) fn epoch_cuts(
@@ -134,25 +135,6 @@ pub(crate) fn epoch_cuts(
     while next <= len as u64 {
         cuts.push(next as usize); // next <= len, so the cast is exact
         next += l;
-    }
-}
-
-/// Walks `len` accesses as segments delimited by `cuts` (positions as in
-/// [`epoch_cuts`], but duplicates and `0` are allowed — they denote empty
-/// segments whose boundary still fires). `f` is called in order with each
-/// segment's index range and whether it ends on a boundary.
-pub(crate) fn for_each_segment(
-    len: usize,
-    cuts: &[usize],
-    mut f: impl FnMut(std::ops::Range<usize>, bool),
-) {
-    let mut prev = 0usize;
-    for &cut in cuts {
-        f(prev..cut, true);
-        prev = cut;
-    }
-    if prev < len {
-        f(prev..len, false);
     }
 }
 
@@ -217,7 +199,7 @@ pub struct EngineFootprint {
     pub scheme_bytes: usize,
     /// Resident bytes of everything execution-strategy-dependent: the
     /// sparse containers' own block storage, per-bank activation
-    /// counters, and the batch path's scatter scratch. Depends on the
+    /// counters, and the batch path's grouping scratch. Depends on the
     /// engine split (never on the shard count), so it stays out of the
     /// wire snapshot.
     pub accounting_bytes: usize,
@@ -291,20 +273,11 @@ pub struct BankEngine {
     /// Per-bank row-activation counters, sparse like the scheme storage
     /// (an absent entry is a bank that was never activated).
     pub(crate) activations: SparseSlab<u64>,
-    /// Per-segment bank counts of the batch path's counting sort,
-    /// allocated lazily on the first batch: dense by design, but written
-    /// only at touched banks.
-    pub(crate) act_scratch: Vec<u64>,
-    /// Counting-sort cursors for the batch path's per-segment scatter,
-    /// allocated lazily on the first batch. Scratch like `act_scratch`.
-    pub(crate) seg_cursor: Vec<u32>,
-    /// Banks touched in the current flat segment, in first-touch order —
-    /// lets the scatter reset only what it dirtied (O(touched), not
-    /// O(banks)).
-    pub(crate) touched: Vec<u32>,
-    /// Row scatter buffer of the batch path (one slot per access of the
-    /// current segment).
-    pub(crate) row_scratch: Vec<u32>,
+    /// The batch path's grouping of [`process`](Self::process) and
+    /// [`process_with_cuts`](Self::process_with_cuts) calls — scratch
+    /// sized by the batch, untouched when a [`MemorySystem`] groups the
+    /// batch for its engines instead.
+    pub(crate) grouping: Grouping,
     pub(crate) accesses: u64,
     pub(crate) epochs: u64,
     /// Accesses per auto-refresh epoch; `None` disables access-count epoch
@@ -343,10 +316,7 @@ impl BankEngine {
         BankEngine {
             banks: SparseBanks::new(spec, banks, rows_per_bank, bank_base),
             activations: SparseSlab::new(banks as usize),
-            act_scratch: Vec::new(),
-            seg_cursor: Vec::new(),
-            touched: Vec::new(),
-            row_scratch: Vec::new(),
+            grouping: Grouping::default(),
             accesses: 0,
             epochs: 0,
             epoch_len: None,
@@ -484,8 +454,8 @@ impl BankEngine {
     /// the batch's first `cuts[i]` accesses. Positions must be
     /// nondecreasing and at most `batch.len()`; `0` and duplicates are
     /// allowed (boundaries before the first access / back-to-back empty
-    /// epochs). This is the entry point [`MemorySystem`] routes each
-    /// channel's whole batch through, so a channel's banks are visited once
+    /// epochs). The batch is grouped and replayed exactly as a
+    /// [`MemorySystem`] batch is, so the engine's banks are visited once
     /// per batch rather than once per epoch segment (`DESIGN.md §7`).
     ///
     /// ```
@@ -518,88 +488,55 @@ impl BankEngine {
     }
 
     /// The shared sequential core of [`process`](Self::process) and
-    /// [`process_with_cuts`](Self::process_with_cuts): per segment, a
-    /// counting-sort scatter of the accesses by bank, then each touched
-    /// bank replays its whole subsequence in one [`SchemeInstance::run`]
-    /// call (the CAT run kernel for the tree schemes). Schemes never
-    /// observe other banks' activations (the determinism contract,
-    /// `DESIGN.md §7`), so the replay is bit-identical to interleaved
-    /// per-access dispatch while paying the bank lookup once per touched
-    /// bank per segment instead of twice per access. The outcome's
-    /// refresh counts are summed from each touched bank's stats around
-    /// its run.
+    /// [`process_with_cuts`](Self::process_with_cuts): per chunk of the
+    /// batch, group the records by bank per segment, then
+    /// [`replay`](Self::replay) every run.
     fn run_with_cuts(&mut self, batch: &[(u32, u32)], cuts: &[usize]) -> BatchOutcome {
-        let mut out = BatchOutcome {
-            accesses: batch.len() as u64,
-            epochs: cuts.len() as u64,
-            ..BatchOutcome::default()
-        };
-        let nbanks = self.banks.capacity();
-        if self.act_scratch.len() < nbanks {
-            self.act_scratch.resize(nbanks, 0);
-        }
-        if self.seg_cursor.len() < nbanks {
-            self.seg_cursor.resize(nbanks, 0);
-        }
-        let mut touched = std::mem::take(&mut self.touched);
-        let mut rows_buf = std::mem::take(&mut self.row_scratch);
-        for_each_segment(batch.len(), cuts, |range, on_boundary| {
-            let seg = &batch[range];
-            // Pass 1: per-bank counts, recording each bank at its first
-            // touch so the scratch resets in O(touched), not O(banks).
-            for &(bank, _) in seg {
-                let b = bank as usize;
-                if self.act_scratch[b] == 0 {
-                    touched.push(bank);
-                }
-                self.act_scratch[b] += 1;
-            }
-            // Prefix offsets in first-touch order (replay order across
-            // banks is unobservable: every bank sees only its own rows).
-            let mut acc = 0u32;
-            for &bank in &touched {
-                let b = bank as usize;
-                self.seg_cursor[b] = acc;
-                acc += self.act_scratch[b] as u32;
-            }
-            // Pass 2: scatter. Every slot in [0..seg.len()) is written
-            // exactly once (cursors cover sum(counts)), so stale contents
-            // of the recycled buffer are never read and resize only
-            // zero-fills genuine growth.
-            rows_buf.resize(seg.len(), 0);
-            for &(bank, row) in seg {
-                let c = &mut self.seg_cursor[bank as usize];
-                rows_buf[*c as usize] = row;
-                *c += 1;
-            }
-            // Replay each touched bank's subsequence with one `run`, count
-            // its refreshes while its stats are in cache, fold its count
-            // into the sparse activation accounting, and reset its scratch.
-            let mut start = 0usize;
-            for &bank in &touched {
-                let b = bank as usize;
-                let count = self.act_scratch[b];
-                let end = start + count as usize;
+        let mut grouping = std::mem::take(&mut self.grouping);
+        let banks = self.banks.capacity() as u32;
+        let mut out = BatchOutcome::default();
+        group::for_each_chunk(batch.len(), cuts, |chunk, chunk_cuts| {
+            grouping.group(batch, chunk, chunk_cuts, 0, banks);
+            out.merge(&self.replay(&grouping, 0));
+        });
+        self.grouping = grouping;
+        out
+    }
+
+    /// Replays this engine's share of a grouped batch, whose relative
+    /// bank `lo` is this engine's bank 0: per segment, each touched bank
+    /// replays its whole subsequence in one [`SchemeInstance::run`] call
+    /// (the CAT run kernel for the tree schemes), then the segment's
+    /// epoch boundary fires. Schemes never observe other banks'
+    /// activations (the determinism contract, `DESIGN.md §7`), so the
+    /// replay is bit-identical to interleaved per-access dispatch while
+    /// paying the bank lookup once per run instead of once per access.
+    /// The outcome counts the engine's own records, the boundaries, and
+    /// the refreshes summed from each touched bank's stats around its run.
+    pub(crate) fn replay(&mut self, grouped: &Grouping, lo: u32) -> BatchOutcome {
+        let mut out = BatchOutcome::default();
+        let banks = lo..lo + self.banks.capacity() as u32;
+        for (runs, boundary) in grouped.segments(banks) {
+            for i in runs {
+                let (bank, rows) = grouped.run(i);
+                let b = (bank - lo) as usize;
                 if let Some(scheme) = self.banks.scheme_mut(b) {
                     let s = scheme.stats();
-                    let (events, rows) = (s.refresh_events, s.refreshed_rows);
-                    scheme.run(&rows_buf[start..end]);
+                    let (events, refreshed) = (s.refresh_events, s.refreshed_rows);
+                    scheme.run(rows);
                     let s = scheme.stats();
                     out.refresh_events += s.refresh_events - events;
-                    out.refreshed_rows += s.refreshed_rows - rows;
+                    out.refreshed_rows += s.refreshed_rows - refreshed;
                 }
-                *self.activations.get_or_insert_with(b, u64::default) += count;
-                self.act_scratch[b] = 0;
-                start = end;
+                *self.activations.get_or_insert_with(b, u64::default) += rows.len() as u64;
+                out.accesses += rows.len() as u64;
             }
-            touched.clear();
-            if on_boundary {
+            if boundary {
                 self.fire_epoch();
+                out.epochs += 1;
             }
-        });
-        self.touched = touched;
-        self.row_scratch = rows_buf;
-        self.accesses += batch.len() as u64;
+        }
+        self.accesses += out.accesses;
         out
     }
 
@@ -642,10 +579,7 @@ impl BankEngine {
             scheme_bytes: self.banks.scheme_bytes(),
             accounting_bytes: self.banks.container_bytes()
                 + self.activations.heap_bytes()
-                + self.act_scratch.capacity() * std::mem::size_of::<u64>()
-                + self.seg_cursor.capacity() * std::mem::size_of::<u32>()
-                + self.touched.capacity() * std::mem::size_of::<u32>()
-                + self.row_scratch.capacity() * std::mem::size_of::<u32>(),
+                + self.grouping.heap_bytes(),
         }
     }
 

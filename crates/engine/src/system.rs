@@ -13,22 +13,25 @@
 //!
 //! Every batch (explicit via [`MemorySystem::process`], or an internal
 //! flush of the staging buffer behind [`MemorySystem::push`]) takes one
-//! **cut-aware routed** path: the epoch boundary positions inside the
+//! **cut-aware grouped** path: the epoch boundary positions inside the
 //! batch are computed once up front (`crate::epoch_cuts`), one stable
-//! scatter splits the batch into per-engine sub-batches and records each
-//! engine's cut positions along the way, and each engine then replays its
-//! whole sub-batch in one [`BankEngine::process_with_cuts`] call — an
-//! engine's banks are visited once per batch, never once per epoch
-//! segment. The scatter is O(batch + engines): no per-bank pass.
+//! radix sort per epoch segment groups the records by bank into one
+//! rows buffer and a table of bank runs (`crate::group`), and each
+//! engine then replays its runs — a contiguous sub-slice of every
+//! segment's run table, because engine slices are contiguous aligned
+//! bank ranges. An engine's banks are visited once per batch, never once
+//! per epoch segment, and the scratch is sized by the batch: no per-bank
+//! pass and no per-engine copy of the records.
 //!
-//! [`with_shards`](MemorySystem::with_shards) changes only *who* makes
-//! those engine calls. The engines are split into `min(shards, engines)`
-//! contiguous groups; each batch moves every busy group but the last,
-//! engines by value, into that group's persistent worker thread and takes
-//! them back when the worker is done. The caller replays the last busy
-//! group itself, so a batch that touches a single group wakes no thread. A group is the unit of
-//! parallelism, so finer parallelism than one engine per channel comes
-//! from an engine layout with more slices
+//! [`with_shards`](MemorySystem::with_shards) changes only *who* replays.
+//! The engines are split into `min(shards, engines)` contiguous groups;
+//! each batch moves every busy group but the last, engines by value,
+//! into that group's persistent worker thread together with a shared
+//! read-only handle on the grouped batch, and takes them back when the
+//! worker is done. The caller replays the last busy group itself, so a
+//! batch that touches a single group wakes no thread. A group is the
+//! unit of parallelism, so finer parallelism than one engine per channel
+//! comes from an engine layout with more slices
 //! ([`partitioned`](MemorySystem::partitioned)), not from more shards.
 //!
 //! ## Equivalence
@@ -41,7 +44,7 @@
 //! * the global bank order is slice-major, so per-slice engines with a
 //!   [bank base](BankEngine::with_bank_base) hold exactly the banks (and
 //!   PRA seeds) of the flat engine's contiguous ranges;
-//! * per-bank access order is preserved by the stable scatter;
+//! * per-bank access order is preserved by the stable sort;
 //! * epoch boundaries are positions in the *system-wide* access stream:
 //!   the cut list is computed once per batch and every bank receives
 //!   `on_epoch_end` at the same point of its own subsequence, whichever
@@ -51,10 +54,12 @@
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cat_core::{Refreshes, SchemeInstance, SchemeSpec, SchemeStats};
 
+use crate::group::{for_each_chunk, Grouping};
 use crate::ingest::{IngestConsumer, IngestEvent};
 use crate::{
     epoch_cuts, AddressMapping, BankEngine, BatchOutcome, EngineFootprint, EngineReport,
@@ -102,19 +107,16 @@ pub struct MemorySystem {
     pub(crate) engines: Vec<BankEngine>,
     /// The slice each engine owns, parallel to `engines`.
     engine_slices: Vec<GeometrySlice>,
-    /// `log2(slice size)` when every engine slice spans the same bank
-    /// count — the routed scatter is then a shift/mask, not a search.
-    uniform_shift: Option<u32>,
     pub(crate) epoch_len: Option<u64>,
     pub(crate) accesses: u64,
     pub(crate) epochs: u64,
     /// The contiguous engine groups of [`with_shards`](Self::with_shards),
     /// in engine order (one group of every engine by default).
     groups: Vec<Group>,
-    /// Per-engine scatter buffers, reused across batches.
-    route: Vec<Vec<(u32, u32)>>,
-    /// Per-engine epoch cut positions, parallel to `route`.
-    route_cuts: Vec<Vec<usize>>,
+    /// The batch grouped by bank, relative to the owned slice's first
+    /// bank. Shared read-only with the workers during a batch; unique
+    /// again once they hand their engines back.
+    pub(crate) grouping: Arc<Grouping>,
     /// Global cut-position scratch, reused across batches.
     cut_scratch: Vec<usize>,
     /// Streaming staging buffer (decoded, not yet processed accesses).
@@ -214,32 +216,39 @@ impl MemorySystem {
                 BankEngine::with_bank_base(spec, s.banks(), geometry.rows_per_bank, s.start_bank())
             })
             .collect();
-        let size = engine_slices[0].banks();
-        let uniform_shift = engine_slices
-            .iter()
-            .all(|s| s.banks() == size)
-            .then(|| size.trailing_zeros());
-        let route = engine_slices.iter().map(|_| Vec::new()).collect();
-        let route_cuts = engine_slices.iter().map(|_| Vec::new()).collect();
-        let groups = vec![Group::new(0..engines.len())];
-        MemorySystem {
+        let mut system = MemorySystem {
             geometry,
             spec,
             mapping,
             owned,
             engines,
             engine_slices,
-            uniform_shift,
             epoch_len: None,
             accesses: 0,
             epochs: 0,
-            groups,
-            route,
-            route_cuts,
+            groups: Vec::new(),
+            grouping: Arc::default(),
             cut_scratch: Vec::new(),
             staged: Vec::new(),
             stream_capacity: Self::DEFAULT_STREAM_CAPACITY,
             staged_outcome: BatchOutcome::default(),
+        };
+        system.groups = vec![system.group(0..system.engines.len())];
+        system
+    }
+
+    /// The group of engines `engines`, with the bank range (relative to
+    /// the owned slice) their slices cover.
+    fn group(&self, engines: Range<usize>) -> Group {
+        let base = self.owned.start_bank();
+        let banks = self.engine_slices[engines.start].start_bank() - base
+            ..self.engine_slices[engines.end - 1].end_bank() - base;
+        Group {
+            engines,
+            banks,
+            tasks: Vec::new(),
+            worker: None,
+            dispatched: false,
         }
     }
 
@@ -304,7 +313,7 @@ impl MemorySystem {
         let groups = shards.min(engines);
         // Replacing the groups drops (and joins) any earlier workers.
         self.groups = (0..groups)
-            .map(|g| Group::new(g * engines / groups..(g + 1) * engines / groups))
+            .map(|g| self.group(g * engines / groups..(g + 1) * engines / groups))
             .collect();
         self
     }
@@ -423,7 +432,7 @@ impl MemorySystem {
     ///
     /// Panics if `bank` is outside the [owned slice](Self::slice) — at
     /// the offending call, not at the (arbitrarily later) flush that
-    /// would otherwise trip over it deep inside the scatter.
+    /// would otherwise trip over it deep inside the grouping.
     #[inline]
     pub fn push_decoded(&mut self, bank: u32, row: u32) {
         assert!(
@@ -482,7 +491,7 @@ impl MemorySystem {
                     // The push_decoded bank check, hoisted out of the hot
                     // loop (an `all` scan vectorizes; the offending bank
                     // is only located on the failure arm): fail at the
-                    // ingest, not deep inside a later scatter.
+                    // ingest, not deep inside a later flush.
                     let fresh = &self.staged[before..];
                     assert!(
                         fresh.iter().all(|&(bank, _)| owned.contains(bank)),
@@ -538,8 +547,9 @@ impl MemorySystem {
         self.process_batch(batch)
     }
 
-    /// The cut-aware batch core: computes the global cut list once,
-    /// scatters the batch per engine, then replays every engine's share.
+    /// The cut-aware batch core: computes the global cut list once, then
+    /// per chunk groups the records by bank and replays every engine's
+    /// runs.
     fn process_batch(&mut self, batch: &[(u32, u32)]) -> BatchOutcome {
         let mut cuts = std::mem::take(&mut self.cut_scratch);
         epoch_cuts(batch.len(), self.accesses, self.epoch_len, &mut cuts);
@@ -548,69 +558,25 @@ impl MemorySystem {
             epochs: cuts.len() as u64,
             ..BatchOutcome::default()
         };
-        self.scatter(batch, &cuts);
-        self.replay(&mut out);
+        let (base, banks) = (self.owned.start_bank(), self.owned.banks());
+        for_each_chunk(batch.len(), &cuts, |chunk, chunk_cuts| {
+            Arc::make_mut(&mut self.grouping).group(batch, chunk, chunk_cuts, base, banks);
+            self.replay(&mut out);
+        });
         self.accesses += batch.len() as u64;
         self.epochs += cuts.len() as u64;
         self.cut_scratch = cuts;
         out
     }
 
-    /// One stable scatter of the whole batch into per-engine sub-batches,
-    /// recording each engine's cut positions.
-    fn scatter(&mut self, batch: &[(u32, u32)], cuts: &[usize]) {
-        for buf in self.route.iter_mut() {
-            buf.clear();
-        }
-        for buf in self.route_cuts.iter_mut() {
-            buf.clear();
-        }
-        let route = &mut self.route;
-        let route_cuts = &mut self.route_cuts;
-        let base = self.owned.start_bank();
-        match self.uniform_shift {
-            // Uniform slice sizes (every built-in layout): the per-record
-            // slice split is a shift/mask, not a search — slices are
-            // pow2-sized and naturally aligned (GeometrySlice::new), so
-            // `bank & mask` *is* the engine-local bank index.
-            Some(shift) => {
-                let mask = (1u32 << shift) - 1;
-                crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
-                    for &(bank, row) in &batch[range] {
-                        route[((bank - base) >> shift) as usize].push((bank & mask, row));
-                    }
-                    if on_boundary {
-                        for (s, s_cuts) in route_cuts.iter_mut().enumerate() {
-                            s_cuts.push(route[s].len());
-                        }
-                    }
-                });
-            }
-            // Mixed slice sizes: binary-search the owning slice.
-            None => {
-                let slices = &self.engine_slices;
-                crate::for_each_segment(batch.len(), cuts, |range, on_boundary| {
-                    for &(bank, row) in &batch[range] {
-                        let s = slices.partition_point(|sl| sl.end_bank() <= bank);
-                        route[s].push((bank - slices[s].start_bank(), row));
-                    }
-                    if on_boundary {
-                        for (s, s_cuts) in route_cuts.iter_mut().enumerate() {
-                            s_cuts.push(route[s].len());
-                        }
-                    }
-                });
-            }
-        }
-    }
-
-    /// Replays every engine's share of the scattered batch: every engine
-    /// moves, with its scatter and cut buffers, into its group's task
-    /// list; every busy group but the last goes to its worker, the last
-    /// runs here (with one group, the only path); then every engine and
-    /// buffer moves back in engine order. Each move is an O(1) struct
-    /// move — the banks stay where they are on the heap.
+    /// Replays the grouped batch: every engine moves into its group's
+    /// task list; every busy group but the last goes to its worker with a
+    /// handle on the grouping, the last runs here (with one group, the
+    /// only path); then every engine moves back in engine order. Each
+    /// move is an O(1) struct move — the banks stay where they are on the
+    /// heap, and the records are never copied per engine.
     fn replay(&mut self, out: &mut BatchOutcome) {
+        let base = self.owned.start_bank();
         let mut g = 0;
         for (s, engine) in self.engines.drain(..).enumerate() {
             if s == self.groups[g].engines.end {
@@ -618,30 +584,27 @@ impl MemorySystem {
             }
             self.groups[g].tasks.push(Task {
                 engine,
-                records: std::mem::take(&mut self.route[s]),
-                cuts: std::mem::take(&mut self.route_cuts[s]),
+                lo: self.engine_slices[s].start_bank() - base,
                 outcome: BatchOutcome::default(),
             });
         }
-        let last = self.groups.iter().rposition(Group::is_busy);
+        let grouping = &self.grouping;
+        let last = self.groups.iter().rposition(|g| g.is_busy(grouping));
         for (g, group) in self.groups.iter_mut().enumerate() {
-            if Some(g) != last && group.is_busy() {
-                group.dispatch(g);
+            if Some(g) != last && group.is_busy(grouping) {
+                group.dispatch(g, Arc::clone(grouping));
             }
         }
         if let Some(g) = last {
             for task in &mut self.groups[g].tasks {
-                task.run();
+                task.run(grouping);
             }
         }
         for group in &mut self.groups {
             group.collect();
             for task in group.tasks.drain(..) {
-                let s = self.engines.len();
                 out.refresh_events += task.outcome.refresh_events;
                 out.refreshed_rows += task.outcome.refreshed_rows;
-                self.route[s] = task.records;
-                self.route_cuts[s] = task.cuts;
                 self.engines.push(task.engine);
             }
         }
@@ -650,16 +613,8 @@ impl MemorySystem {
     /// Routes a global bank to `(engine index, engine-local bank)`.
     #[inline]
     fn route_engine(&self, bank: u32) -> (usize, u32) {
-        match self.uniform_shift {
-            Some(shift) => {
-                let idx = ((bank - self.owned.start_bank()) >> shift) as usize;
-                (idx, bank & ((1u32 << shift) - 1))
-            }
-            None => {
-                let idx = self.engine_slices.partition_point(|s| s.end_bank() <= bank);
-                (idx, bank - self.engine_slices[idx].start_bank())
-            }
-        }
+        let idx = self.engine_slices.partition_point(|s| s.end_bank() <= bank);
+        (idx, bank - self.engine_slices[idx].start_bank())
     }
 
     /// Drives one activation through global bank `bank` and returns the
@@ -760,9 +715,12 @@ impl MemorySystem {
     }
 
     /// Resident-memory snapshot across every slice's sparse bank
-    /// storage.
+    /// storage, plus the batch path's grouping scratch.
     pub fn footprint(&self) -> EngineFootprint {
-        let mut total = EngineFootprint::default();
+        let mut total = EngineFootprint {
+            accounting_bytes: self.grouping.heap_bytes(),
+            ..EngineFootprint::default()
+        };
         for engine in &self.engines {
             total.merge(&engine.footprint());
         }
@@ -782,32 +740,21 @@ impl MemorySystem {
     }
 }
 
-/// One engine's share of a batch, moved by value to the thread that
-/// replays it.
+/// One engine, moved by value to the thread that replays its share of a
+/// batch.
 struct Task {
     engine: BankEngine,
-    records: Vec<(u32, u32)>,
-    cuts: Vec<usize>,
+    /// The grouping-relative index of the engine's bank 0.
+    lo: u32,
     /// The refreshes the replay triggered.
     outcome: BatchOutcome,
 }
 
 impl Task {
     /// The one call every engine gets per batch, on whichever thread, so
-    /// the shard count cannot show in its state or footprint. An engine
-    /// with no records and no cut is skipped: nothing to replay, no
-    /// boundary to fire.
-    fn run(&mut self) {
-        if self.is_idle() {
-            return;
-        }
-        let o = self.engine.process_with_cuts(&self.records, &self.cuts);
-        self.outcome.refresh_events += o.refresh_events;
-        self.outcome.refreshed_rows += o.refreshed_rows;
-    }
-
-    fn is_idle(&self) -> bool {
-        self.records.is_empty() && self.cuts.is_empty()
+    /// the shard count cannot show in its state or footprint.
+    fn run(&mut self, grouping: &Grouping) {
+        self.outcome = self.engine.replay(grouping, self.lo);
     }
 }
 
@@ -815,6 +762,8 @@ impl Task {
 struct Group {
     /// The group's engine indices.
     engines: Range<usize>,
+    /// The banks of those engines, relative to the owned slice.
+    banks: Range<u32>,
     /// The group's engines while a batch is in flight; empty (capacity
     /// kept) between batches and while the worker holds them.
     tasks: Vec<Task>,
@@ -825,26 +774,19 @@ struct Group {
 }
 
 impl Group {
-    fn new(engines: Range<usize>) -> Self {
-        Group {
-            engines,
-            tasks: Vec::new(),
-            worker: None,
-            dispatched: false,
-        }
+    /// Whether the group's banks have runs or an epoch boundary to
+    /// replay; an idle group is skipped.
+    fn is_busy(&self, grouping: &Grouping) -> bool {
+        grouping.touches(self.banks.clone())
     }
 
-    /// Whether any engine of the group has records or a cut to replay.
-    fn is_busy(&self) -> bool {
-        !self.tasks.iter().all(Task::is_idle)
-    }
-
-    /// Hands the group's tasks to its worker (group `id` names the thread).
-    fn dispatch(&mut self, id: usize) {
+    /// Hands the group's tasks and the shared grouping to its worker
+    /// (group `id` names the thread).
+    fn dispatch(&mut self, id: usize, grouping: Arc<Grouping>) {
         let tasks = std::mem::take(&mut self.tasks);
         self.worker
             .get_or_insert_with(|| Worker::spawn(id))
-            .send(tasks);
+            .send((tasks, grouping));
         self.dispatched = true;
     }
 
@@ -857,26 +799,32 @@ impl Group {
     }
 }
 
+/// A task list plus the grouped batch its engines replay.
+type Job = (Vec<Task>, Arc<Grouping>);
+
 /// A persistent thread that replays the task lists it is sent and sends
 /// each one back.
 struct Worker {
     /// `None` only while dropping: hanging up ends the thread's loop.
-    jobs: Option<Sender<Vec<Task>>>,
+    jobs: Option<Sender<Job>>,
     done: Receiver<Vec<Task>>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Worker {
     fn spawn(id: usize) -> Self {
-        let (jobs, inbox) = channel::<Vec<Task>>();
+        let (jobs, inbox) = channel::<Job>();
         let (outbox, done) = channel();
         let thread = std::thread::Builder::new()
             .name(format!("cat-engines-{id}"))
             .spawn(move || {
-                while let Ok(mut tasks) = inbox.recv() {
+                while let Ok((mut tasks, grouping)) = inbox.recv() {
                     for task in &mut tasks {
-                        task.run();
+                        task.run(&grouping);
                     }
+                    // Release the grouping before handing the engines
+                    // back, so the caller holds it alone again.
+                    drop(grouping);
                     if outbox.send(tasks).is_err() {
                         return;
                     }
@@ -891,8 +839,8 @@ impl Worker {
         }
     }
 
-    fn send(&mut self, tasks: Vec<Task>) {
-        let sent = self.jobs.as_ref().map(|jobs| jobs.send(tasks).is_ok());
+    fn send(&mut self, job: Job) {
+        let sent = self.jobs.as_ref().map(|jobs| jobs.send(job).is_ok());
         if sent != Some(true) {
             self.rethrow();
         }

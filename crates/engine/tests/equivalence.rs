@@ -9,8 +9,8 @@
 //! every engine split and shard count deterministic. The invariants being
 //! exercised are spelled out in `DESIGN.md §7`.
 
-use cat_core::{MitigationScheme, RowId, SchemeSpec, SchemeStats};
-use cat_engine::{BankEngine, BatchOutcome, MemGeometry, MemorySystem, Partition};
+use cat_core::{MitigationScheme, RowId, SchemeInstance, SchemeSpec, SchemeStats};
+use cat_engine::{BankEngine, BatchOutcome, GeometrySlice, MemGeometry, MemorySystem, Partition};
 
 const BANKS: u32 = 16;
 const ROWS: u32 = 8192;
@@ -606,6 +606,306 @@ fn batch_outcomes_sum_to_the_final_refresh_totals() {
             if spec != SchemeSpec::None {
                 assert!(stats.refresh_events > 0, "{spec:?} must refresh");
             }
+        }
+    }
+}
+
+/// The grouped replay's reference: one `on_activation` per record in
+/// stream order, banks built on first touch (sparse, so geometries of
+/// millions of banks cost only what is touched), every cut firing
+/// `on_epoch_end` on every built bank, and each batch's outcome read off
+/// the stats around it.
+struct PerRecord {
+    spec: SchemeSpec,
+    banks: std::collections::BTreeMap<u32, SchemeInstance>,
+    activations: std::collections::BTreeMap<u32, u64>,
+}
+
+impl PerRecord {
+    fn new(spec: SchemeSpec) -> Self {
+        PerRecord {
+            spec,
+            banks: Default::default(),
+            activations: Default::default(),
+        }
+    }
+
+    fn refreshes(&self) -> (u64, u64) {
+        self.banks.values().fold((0, 0), |(e, r), s| {
+            (e + s.stats().refresh_events, r + s.stats().refreshed_rows)
+        })
+    }
+
+    fn fire(&mut self) {
+        for s in self.banks.values_mut() {
+            s.on_epoch_end();
+        }
+    }
+
+    /// Replays `batch` with `cuts` (positions as `process_with_cuts`
+    /// takes them: nondecreasing, `0` and duplicates allowed).
+    fn batch(&mut self, batch: &[(u32, u32)], cuts: &[usize]) -> BatchOutcome {
+        let (events, rows) = self.refreshes();
+        let mut next = 0;
+        for (i, &(bank, row)) in batch.iter().enumerate() {
+            while next < cuts.len() && cuts[next] == i {
+                self.fire();
+                next += 1;
+            }
+            *self.activations.entry(bank).or_default() += 1;
+            if let Some(s) = self.spec.build_instance(ROWS, bank) {
+                self.banks
+                    .entry(bank)
+                    .or_insert(s)
+                    .on_activation(RowId(row));
+            }
+        }
+        for _ in next..cuts.len() {
+            self.fire();
+        }
+        let (events_after, rows_after) = self.refreshes();
+        BatchOutcome {
+            accesses: batch.len() as u64,
+            refresh_events: events_after - events,
+            refreshed_rows: rows_after - rows,
+            epochs: cuts.len() as u64,
+        }
+    }
+
+    /// Per-bank stats over `banks` banks, as the engines report them.
+    fn per_bank_stats(&self, banks: u32) -> Vec<SchemeStats> {
+        match self.spec {
+            SchemeSpec::None => Vec::new(),
+            _ => (0..banks)
+                .map(|b| {
+                    self.banks
+                        .get(&b)
+                        .map_or_else(SchemeStats::default, |s| *s.stats())
+                })
+                .collect(),
+        }
+    }
+
+    /// Activations per bank over `banks` banks.
+    fn activations(&self, banks: u32) -> Vec<u64> {
+        (0..banks)
+            .map(|b| self.activations.get(&b).copied().unwrap_or(0))
+            .collect()
+    }
+
+    /// The `save_state` words of every built bank, in bank order.
+    fn words(&self) -> Vec<Option<Vec<u64>>> {
+        state_words(self.banks.values())
+    }
+}
+
+fn state_words<'a>(schemes: impl Iterator<Item = &'a SchemeInstance>) -> Vec<Option<Vec<u64>>> {
+    schemes
+        .map(|s| {
+            let mut words = Vec::new();
+            s.save_state(&mut words).ok().map(|()| words)
+        })
+        .collect()
+}
+
+/// The epoch cuts a clocked batch of `len` records gets after `before`
+/// records of the stream.
+fn clock_cuts(before: u64, len: usize, epoch: u64) -> Vec<usize> {
+    (1..=len)
+        .filter(|&i| (before + i as u64).is_multiple_of(epoch))
+        .collect()
+}
+
+#[test]
+fn grouped_replay_matches_per_record_dispatch() {
+    // The grouped replay (one radix grouping per segment, runs replayed
+    // per bank, engines routed once per run range) must leave exactly
+    // the state of one on_activation per record: full save_state words,
+    // per-bank stats and every batch's outcome, on the flat engine with
+    // caller cut lists and on a mixed-size partition at 1, 2 and 4 shards.
+    let trace = trace(140_000);
+    // Cut lists with 0, len and duplicates; a batch longer than one
+    // grouping chunk (65 536 records) with cuts on and around its chunk
+    // boundary; an empty batch whose cuts still fire.
+    let flat_batches: Vec<(std::ops::Range<usize>, Vec<usize>)> = vec![
+        (0..5_000, vec![0, 0, 1_200, 1_200, 5_000]),
+        (5_000..5_000, vec![0, 0]),
+        (5_000..9_000, vec![]),
+        (9_000..13_000, vec![4_000]),
+        (
+            13_000..83_000,
+            vec![0, 65_535, 65_536, 65_536, 65_537, 70_000],
+        ),
+        (83_000..140_000, vec![3, 57_000]),
+    ];
+    // Slices of 8, 4, 2, 1 and 1 banks: the uneven layout. At 2 shards
+    // the groups meet at bank 12, at 4 shards at banks 8, 12 and 14.
+    let mixed = Partition::from_slices(
+        [(0, 8), (8, 4), (12, 2), (14, 1), (15, 1)]
+            .into_iter()
+            .map(|(start, banks)| GeometrySlice::new(geometry(), start, banks).unwrap())
+            .collect(),
+    )
+    .unwrap();
+    // A flush that touches only banks 11 and 12, interleaved, so its runs
+    // straddle the 2-shard group boundary (and an engine boundary).
+    let straddle: Vec<(u32, u32)> = (0..3_000u32)
+        .map(|i| {
+            (
+                11 + i % 2,
+                if i % 3 == 0 { 1_000 + i % 2 } else { i % ROWS },
+            )
+        })
+        .collect();
+    let epoch = EPOCH;
+    for spec in all_specs() {
+        let mut reference = PerRecord::new(spec);
+        let mut flat = BankEngine::new(spec, BANKS, ROWS);
+        for (range, cuts) in &flat_batches {
+            let batch = &trace[range.clone()];
+            assert_eq!(
+                flat.process_with_cuts(batch, cuts),
+                reference.batch(batch, cuts),
+                "{spec}: flat outcome over {range:?} with cuts {cuts:?}"
+            );
+        }
+        assert_eq!(
+            flat.per_bank_stats(),
+            reference.per_bank_stats(BANKS),
+            "{spec}"
+        );
+        assert_eq!(flat.activations_per_bank(), reference.activations(BANKS));
+        assert_eq!(state_words(flat.schemes()), reference.words(), "{spec}");
+
+        let stream: Vec<(u32, u32)> = trace[..130_000]
+            .iter()
+            .chain(&straddle)
+            .chain(&trace[130_000..140_000])
+            .copied()
+            .collect();
+        // Batch sizes that end on, before and after an epoch boundary,
+        // the straddling flush on its own, and one batch longer than a
+        // grouping chunk.
+        let mut sizes = vec![25_000, 1, 24_998, 1, 80_000, 3_000, 10_000];
+        assert_eq!(sizes.iter().sum::<usize>(), stream.len());
+        sizes.insert(0, 0);
+        let mut reference = PerRecord::new(spec);
+        let mut outcomes = Vec::new();
+        let mut at = 0;
+        for &n in &sizes[1..] {
+            let batch = &stream[at..at + n];
+            outcomes.push(reference.batch(batch, &clock_cuts(at as u64, n, epoch)));
+            at += n;
+        }
+        for shards in [1usize, 2, 4] {
+            let mut system = MemorySystem::partitioned(&mixed, spec)
+                .with_epoch_length(epoch)
+                .with_shards(shards);
+            let mut at = 0;
+            for (&n, want) in sizes[1..].iter().zip(&outcomes) {
+                let got = system.process(&stream[at..at + n]);
+                assert_eq!(got, *want, "{spec}: {shards} shards, batch at {at}");
+                at += n;
+            }
+            assert_eq!(system.per_bank_stats(), reference.per_bank_stats(BANKS));
+            assert_eq!(system.activations_per_bank(), reference.activations(BANKS));
+            assert_eq!(
+                state_words(system.schemes()),
+                reference.words(),
+                "{spec}: {shards}-shard state"
+            );
+        }
+        if spec != SchemeSpec::None {
+            let events: u64 = outcomes.iter().map(|o| o.refresh_events).sum();
+            assert!(events > 0, "{spec}: nothing refreshed");
+        }
+    }
+}
+
+#[test]
+fn multi_pass_grouping_matches_per_record_dispatch() {
+    // Above 2048 banks the grouping sorts in more than one radix pass:
+    // two passes for 4096 and 1 Mi banks, three for 8 Mi. Each must
+    // still equal one on_activation per record — state words, total
+    // stats and every outcome — flat with caller cut lists for every
+    // spec, and for 1 Mi banks as a 4-channel DRCAT system at 1, 2 and 4
+    // shards.
+    // 32 hot banks spread over the whole bank range, so runs cross every
+    // digit boundary. Each bank's hammered row moves every 30 000 records,
+    // so a bank's state depends on the order of its rows, not only on
+    // their counts.
+    let spread = |banks: u32| -> Vec<(u32, u32)> {
+        trace(90_000)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (_, row))| {
+                let hot = (i as u64).wrapping_mul(0x9e37_79b9) % 32;
+                let bank = (hot.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 20) % u64::from(banks);
+                let phase = (i / 30_000) as u32;
+                let row = if i % 4 == 0 {
+                    row
+                } else {
+                    1_000 + hot as u32 + 64 * phase
+                };
+                (bank as u32, row)
+            })
+            .collect()
+    };
+    let cut_batches: [(std::ops::Range<usize>, Vec<usize>); 3] = [
+        (0..20_000, vec![0, 7_000, 7_000, 20_000]),
+        (20_000..90_000, vec![1, 65_536, 69_999]),
+        (90_000..90_000, vec![0]),
+    ];
+    for banks in [1u32 << 12, 1 << 20, 1 << 23] {
+        let trace = spread(banks);
+        for spec in all_specs() {
+            let mut reference = PerRecord::new(spec);
+            let mut flat = BankEngine::new(spec, banks, ROWS);
+            for (range, cuts) in &cut_batches {
+                let batch = &trace[range.clone()];
+                assert_eq!(
+                    flat.process_with_cuts(batch, cuts),
+                    reference.batch(batch, cuts),
+                    "{spec}, {banks} banks: outcome over {range:?}"
+                );
+            }
+            let words = state_words(flat.schemes());
+            assert_eq!(words, reference.words(), "{spec}, {banks} banks");
+            if spec != SchemeSpec::None {
+                let events = flat.stats().refresh_events;
+                assert!(events > 0, "{spec}, {banks} banks: nothing refreshed");
+            }
+        }
+        if banks != 1 << 20 {
+            continue;
+        }
+        let spec = SchemeSpec::Drcat {
+            counters: 64,
+            levels: 11,
+            threshold: 512,
+        };
+        let geometry = MemGeometry {
+            channels: 4,
+            ranks_per_channel: 1,
+            banks_per_rank: banks / 4,
+            rows_per_bank: ROWS,
+            lines_per_row: 16,
+            line_bytes: 64,
+        };
+        for shards in [1usize, 2, 4] {
+            let mut system = MemorySystem::new(geometry, spec)
+                .with_epoch_length(EPOCH)
+                .with_shards(shards);
+            let mut reference = PerRecord::new(spec);
+            for (at, chunk) in trace.chunks(8_192).enumerate() {
+                let cuts = clock_cuts((at * 8_192) as u64, chunk.len(), EPOCH);
+                assert_eq!(system.process(chunk), reference.batch(chunk, &cuts));
+            }
+            assert_eq!(
+                state_words(system.schemes()),
+                reference.words(),
+                "{shards} shards"
+            );
         }
     }
 }

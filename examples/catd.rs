@@ -13,7 +13,11 @@
 //! Defaults: `127.0.0.1:0` (ephemeral port — the bound address is printed,
 //! so scripts can scrape it), `drcat:64:11:32768`, 1 producer, 50 000
 //! accesses per epoch (`0` disables epoch accounting), 1 shard. The
-//! geometry is the paper's dual-core two-channel system. One session is
+//! geometry is the paper's dual-core two-channel system. An engine is the
+//! smallest unit a shard replays, so a shard count above the served
+//! system's engine count (2 for the whole geometry, 1 for a `--slice`
+//! inside one channel) could never take effect: `catd` refuses it with
+//! exit status 2 and a message naming the engine count. One session is
 //! served, the report is printed, and the process exits — `scripts/
 //! tier1.sh` runs exactly this against the `catd_loadgen` example over
 //! loopback.
@@ -115,6 +119,15 @@ fn main() {
         }
         None => MemorySystem::new(&cfg, spec).with_shards(shards),
     };
+    let engines = system.engines().len();
+    if shards > engines {
+        eprintln!(
+            "catd: {shards} shards cannot take effect: {} is served by {engines} engine(s), \
+             and an engine is the smallest unit a shard replays",
+            system.slice()
+        );
+        std::process::exit(2);
+    }
     if epoch > 0 {
         system = system.with_epoch_length(epoch);
     }

@@ -17,7 +17,7 @@
 //! (`IngestClient::send` encodes in place), so the steady state
 //! allocates nothing per chunk. Exits nonzero on any mismatch, making
 //! this the client half of the loopback smoke in `scripts/tier1.sh`
-//! (run there at 2 producers × 2 shards and 4 × 4).
+//! (run there at 2 producers × 2 shards and 4 × 2).
 //!
 //! The `skip`/`send` positionals split the trace across *sessions* for
 //! the kill-and-resume smoke (`DESIGN.md §11`): the full `accesses`-long

@@ -11,7 +11,9 @@
 //! The same trace is then replayed through a 2-shard system in
 //! 8192-record flushes — the `catd` server's flush size — which must
 //! match the flat run's stats and materialize the same banks, under the
-//! same ceiling.
+//! same ceiling, and account at most 256 bytes per materialized bank plus
+//! 32 bytes of batch scratch per staged record: dense per-bank scratch
+//! or slack in the sparse blocks would exceed that budget many times.
 //!
 //! Run with: `cargo run --release --example sparse_smoke`
 
@@ -113,15 +115,23 @@ fn main() {
     }
     let secs = run.elapsed().as_secs_f64();
     assert_eq!(sharded.stats(), system.stats(), "2 shards must match flat");
+    let sharded_fp = sharded.footprint();
     assert_eq!(
-        sharded.footprint().materialized_banks,
-        fp.materialized_banks,
+        sharded_fp.materialized_banks, fp.materialized_banks,
         "2 shards must materialize exactly the flat run's banks"
     );
+    let budget = 256 * sharded_fp.materialized_banks + 32 * MemorySystem::DEFAULT_STREAM_CAPACITY;
+    assert!(
+        sharded_fp.accounting_bytes <= budget,
+        "{} accounting bytes over the {budget}-byte budget: state no longer follows the touched banks",
+        sharded_fp.accounting_bytes
+    );
     println!(
-        "sparse_smoke: 2 shards, {}-record flushes at {:.1} Macts/s, identical stats",
+        "sparse_smoke: 2 shards, {}-record flushes at {:.1} Macts/s, identical stats, \
+         {} accounting bytes (budget {budget})",
         MemorySystem::DEFAULT_STREAM_CAPACITY,
-        accesses as f64 / secs / 1e6
+        accesses as f64 / secs / 1e6,
+        sharded_fp.accounting_bytes
     );
     println!("sparse_smoke: OK");
 }

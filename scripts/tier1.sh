@@ -43,8 +43,9 @@ echo "tier-1: sparse 1Mi-bank smoke OK (under 1 GiB ceiling)"
 # 127.0.0.1 port, the load generator streams a bounded workload slice over
 # N producer connections and exits nonzero unless the server's stats
 # snapshot is bit-identical to its local replay (DESIGN.md §8). Run at
-# 2 producers × 2 shards and again at 4 × 4 so the SPSC-lane merge is
-# exercised with more lanes than this host may have cores.
+# 2 producers × 2 shards and again at 4 × 2 so the SPSC-lane merge is
+# exercised with more lanes than this host may have cores (2 shards is
+# the most the two-channel geometry's 2 engines can use).
 CATD_LOG="$(mktemp)"
 CATD_PID=""
 FLEET_PIDS=""
@@ -77,7 +78,20 @@ run_catd_smoke() {
     echo "tier-1: catd loopback smoke OK (${producers} producers × ${shards} shards)"
 }
 run_catd_smoke 2 2
-run_catd_smoke 4 4
+run_catd_smoke 4 2
+
+# An engine is the smallest unit a shard replays, so a shard count above
+# the served engine count cannot take effect: a --slice backend inside one
+# channel has a single engine, and catd must refuse 2 shards for it with
+# exit status 2 (and name the engine count) instead of silently ignoring
+# them.
+refused=0
+./target/release/examples/catd 127.0.0.1:0 drcat:64:11:2048 1 0 2 --slice 0/2 \
+    >/dev/null 2>"$CATD_LOG" || refused=$?
+{ [ "$refused" -eq 2 ] && grep -q "served by 1 engine" "$CATD_LOG"; } || {
+    echo "catd did not refuse shards beyond its engine count (exit $refused)"
+    cat "$CATD_LOG"; exit 1; }
+echo "tier-1: catd refuses shards it cannot use"
 
 # Kill-and-resume smoke (DESIGN.md §11): session 1 checkpoints into a
 # directory and ends after 110 000 of 240 000 accesses — past the epoch-50k
@@ -162,11 +176,11 @@ run_fleet_smoke() {
         # Sliced backends run clockless (epoch positional 0): the router
         # owns the fleet clock and streams EpochCut frames instead.
         # shellcheck disable=SC2086
-        ./target/release/examples/catd 127.0.0.1:0 drcat:64:11:2048 1 0 2 \
+        ./target/release/examples/catd 127.0.0.1:0 drcat:64:11:2048 1 0 1 \
             --slice 0/2 --checkpoint-dir "$dir0" $resume >"$b0log" &
         pid0=$!
         # shellcheck disable=SC2086
-        ./target/release/examples/catd 127.0.0.1:0 drcat:64:11:2048 1 0 2 \
+        ./target/release/examples/catd 127.0.0.1:0 drcat:64:11:2048 1 0 1 \
             --slice 1/2 --checkpoint-dir "$dir1" $resume >"$b1log" &
         pid1=$!
         FLEET_PIDS="$pid0 $pid1"
