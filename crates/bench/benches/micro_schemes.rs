@@ -3,7 +3,9 @@
 //! 2‥L−log2(M)+2 pointer hops, DRCAT's extra weight work) and the cost of a
 //! DRCAT reconfiguration. Each CAT-family row has a `run` twin that replays
 //! 64-row runs through `on_run`, the per-bank call of the engine's batch
-//! path.
+//! path. The `run swapt` rows replay real bank rows instead of the
+//! synthetic pattern: the catalog `swapt` trace, decoded with the
+//! dual-core two-channel mapping, one scheme per bank.
 //!
 //! Hand-rolled `std::time::Instant` harness (no criterion — the workspace
 //! builds offline): each measurement warms up, then reports the mean
@@ -24,6 +26,7 @@ use cat_core::{
     CatConfig, CatTree, CounterCache, CounterCacheConfig, Drcat, MitigationScheme, Pra, Prcat,
     RowId, Sca,
 };
+use cat_sim::{AddressMapping, SystemConfig};
 
 const ROWS: u32 = 65_536;
 const T: u32 = 32_768;
@@ -68,7 +71,7 @@ fn report<S: MitigationScheme>(name: &str, iters: u64, mut scheme: S) {
     let ns = best_ns_per_iter(iters, 5, |i| {
         black_box(scheme.on_activation(row(i)));
     });
-    println!("{name:>20}  {ns:>8.1} ns/op");
+    println!("{name:>22}  {ns:>8.1} ns/op");
 }
 
 /// Rows per `on_run` call of the run rows: one bank's share of a batch.
@@ -88,7 +91,67 @@ fn report_run<S: MitigationScheme>(name: &str, iters: u64, mut scheme: S) {
         scheme.on_run(black_box(&rows[at..at + RUN]));
         at += RUN;
     }) / RUN as f64;
-    println!("{name:>20}  {ns:>8.1} ns/row");
+    println!("{name:>22}  {ns:>8.1} ns/row");
+}
+
+/// Records of the `swapt` trace the `run swapt` rows replay.
+const SWAPT_RECORDS: usize = 2_000_000;
+
+/// The rows of each bank of the catalog `swapt` trace (seed 9091), decoded
+/// as the loopback benchmark decodes it: the single-core-equivalent stream
+/// of the dual-core two-channel system through its address mapping.
+fn swapt_bank_rows() -> (u32, Vec<Vec<u32>>) {
+    let cfg = SystemConfig::dual_core_two_channel();
+    let spec = cat_workloads::catalog::by_name("swapt").expect("the catalog has swapt");
+    let mapping = AddressMapping::new(&cfg);
+    let mut banks = vec![Vec::new(); cfg.total_banks() as usize];
+    let records = SWAPT_RECORDS / quick_factor() as usize;
+    for access in cat_bench::system_stream(&spec, &cfg, 256, 9091).take(records) {
+        let (bank, row) = mapping.decode_bank_row(access.addr);
+        banks[bank as usize].push(row);
+    }
+    (cfg.rows_per_bank, banks)
+}
+
+/// Measures `on_run` over the `swapt` bank rows: one scheme per bank, the
+/// banks visited in turn, [`RUN`] rows of a bank per call. After one
+/// untimed pass over every row, reports ns per row.
+fn report_run_swapt<S: MitigationScheme>(
+    name: &str,
+    iters: u64,
+    banks: &[Vec<u32>],
+    make: impl Fn() -> S,
+) {
+    let mut schemes: Vec<S> = banks.iter().map(|_| make()).collect();
+    for (scheme, rows) in schemes.iter_mut().zip(banks) {
+        scheme.on_run(rows);
+    }
+    // (bank, first row, end) of every run, bank by bank.
+    let runs: Vec<(usize, usize, usize)> = banks
+        .iter()
+        .enumerate()
+        .flat_map(|(bank, rows)| {
+            (0..rows.len())
+                .step_by(RUN)
+                .map(move |at| (bank, at, rows.len().min(at + RUN)))
+        })
+        .collect();
+    let mut next = 0usize;
+    let calls = iters / RUN as u64;
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let start = Instant::now();
+        let mut rows_done = 0usize;
+        for _ in 0..calls {
+            let (bank, at, end) = runs[next % runs.len()];
+            next += 1;
+            schemes[bank].on_run(black_box(&banks[bank][at..end]));
+            rows_done += end - at;
+        }
+        let ns = start.elapsed().as_nanos() as f64 / rows_done as f64;
+        best = best.min(ns);
+    }
+    println!("{name:>22}  {best:>8.1} ns/row");
 }
 
 fn bench_activation() {
@@ -107,6 +170,17 @@ fn bench_activation() {
     report_run("DRCAT_64_L11 run", iters, Drcat::new(cat(11)));
     report("DRCAT_64_L14", iters, Drcat::new(cat(14)));
     report_run("DRCAT_64_L14 run", iters, Drcat::new(cat(14)));
+    let (rows, banks) = swapt_bank_rows();
+    let bank_cat = |levels| CatConfig::new(rows, 64, levels, T).unwrap();
+    report_run_swapt("CAT_64_L11 run swapt", iters, &banks, || {
+        CatTree::new(bank_cat(11))
+    });
+    report_run_swapt("DRCAT_64_L11 run swapt", iters, &banks, || {
+        Drcat::new(bank_cat(11))
+    });
+    report_run_swapt("DRCAT_64_L14 run swapt", iters, &banks, || {
+        Drcat::new(bank_cat(14))
+    });
     report(
         "CounterCache_1024",
         iters,
@@ -144,7 +218,7 @@ fn bench_reconfiguration() {
             best = ns;
         }
     }
-    println!("{:>20}  {best:>8.1} ns/burst", "merge_plus_split");
+    println!("{:>22}  {best:>8.1} ns/burst", "merge_plus_split");
 }
 
 fn bench_tree_build() {
@@ -158,7 +232,7 @@ fn bench_tree_build() {
         p.on_epoch_end();
         black_box(p.tree().active_counters());
     });
-    println!("{:>20}  {ns:>8.1} ns/op", "prcat_epoch_reset");
+    println!("{:>22}  {ns:>8.1} ns/op", "prcat_epoch_reset");
 }
 
 fn main() {

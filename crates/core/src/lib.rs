@@ -5,9 +5,10 @@
 //! Melhem — ISCA 2018):
 //!
 //! * [`CatTree`] — the paper's contribution: a dynamically grown,
-//!   potentially unbalanced binary tree of activation counters stored in the
-//!   compact SRAM pointer layout of §IV-C (arrays `I`, `C` and, for DRCAT,
-//!   `W`).
+//!   potentially unbalanced binary tree of activation counters, modelled
+//!   (and costed) in the compact SRAM pointer layout of §IV-C (arrays `I`,
+//!   `C` and, for DRCAT, `W`) and held in software as a leaf table that
+//!   finds a row's counter by a rank over a leaf-start bitmap.
 //! * [`Prcat`] — Periodically Reset CAT (§V-A): the tree is rebuilt at every
 //!   64 ms auto-refresh epoch.
 //! * [`Drcat`] — Dynamically Reconfigured CAT (§V-B): 2-bit weight registers

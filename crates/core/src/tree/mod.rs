@@ -1,31 +1,22 @@
-//! The Counter-based Adaptive Tree (§IV) in the compact SRAM layout of
-//! §IV-C: an array `I` of intermediate nodes (two tagged child pointers
-//! each), an array `C` of counters, and — starting from a pre-split complete
-//! tree of λ levels — direct indexing of the top `λ−1` address bits. Below
-//! the roots, each intermediate node is left by the next address bit.
+//! The Counter-based Adaptive Tree (§IV). The modelled hardware is the
+//! compact SRAM layout of §IV-C: an array `I` of intermediate nodes (two
+//! tagged child pointers each), an array `C` of counters, and — starting
+//! from a pre-split complete tree of λ levels — direct indexing of the top
+//! `λ−1` address bits, below which each intermediate node is left by the
+//! next address bit. Software holds the same shape as a leaf table
+//! (`table.rs`): a row's counter is found by a rank over a leaf-start
+//! bitmap, and a split or merge sets or clears one bit.
 
-mod layout;
 pub mod reference;
 mod shape;
+mod table;
 
-pub use layout::{INode, NodeRef};
 pub use shape::{LeafInfo, TreeShape};
 
 use crate::scheme::{HardwareProfile, MitigationScheme, Refreshes, SchemeKind};
 use crate::state::{StateError, StateReader};
 use crate::{CatConfig, RowId, RowRange, SchemeStats, SplitThresholds};
-
-/// Where a node reference is stored — needed to replace a leaf reference
-/// with a freshly allocated intermediate node when the leaf splits.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum ParentSlot {
-    /// Entry of the direct-indexed root table.
-    Root(u32),
-    /// Left child slot of intermediate node `i`.
-    Left(u16),
-    /// Right child slot of intermediate node `i`.
-    Right(u16),
-}
+use table::LeafTable;
 
 #[derive(Copy, Clone, Debug, Default)]
 pub(crate) struct Counter {
@@ -45,6 +36,17 @@ pub struct Activation {
     pub refresh: Option<RowRange>,
     /// Index of the counter that absorbed the activation (after splits).
     pub counter: u16,
+}
+
+/// Two sibling leaves that DRCAT may merge (§V-B step 1): positions `at`
+/// and `at + 1` of the leaf table, the right one starting at finest cell
+/// `cell`.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct ColdPair {
+    pub at: usize,
+    pub cell: u32,
+    pub left: u16,
+    pub right: u16,
 }
 
 /// A Counter-based Adaptive Tree protecting one DRAM bank.
@@ -71,12 +73,9 @@ pub struct Activation {
 pub struct CatTree {
     config: CatConfig,
     thresholds: SplitThresholds,
-    pub(crate) roots: Vec<NodeRef>,
-    pub(crate) inodes: Vec<INode>,
     pub(crate) counters: Vec<Counter>,
+    table: LeafTable,
     free_counters: Vec<u16>,
-    free_inodes: Vec<u16>,
-    active_counters: usize,
     all_active: bool,
     stats: SchemeStats,
 }
@@ -85,39 +84,44 @@ impl CatTree {
     /// Builds the initial pre-split tree: `2^{λ−1}` active counters at level
     /// `λ−1`, each covering `N / 2^{λ−1}` rows.
     pub fn new(config: CatConfig) -> Self {
-        let thresholds = config.split_thresholds();
         let m = config.counters();
-        let root_count = 1usize << (config.lambda() - 1);
-        let mut counters = vec![Counter::default(); m];
-        let mut roots = Vec::with_capacity(root_count);
-        for (i, counter) in counters.iter_mut().enumerate().take(root_count) {
-            *counter = Counter {
-                value: 0,
-                tli: (config.lambda() - 1) as u8,
-                depth: (config.lambda() - 1) as u8,
-                active: true,
-            };
-            roots.push(NodeRef::Leaf(i as u16));
-        }
-        // Free counters popped in ascending index order.
-        let free_counters: Vec<u16> = (root_count..m).rev().map(|i| i as u16).collect();
-        let all_active = root_count == m;
+        let roots = 1usize << (config.lambda() - 1);
         let mut tree = CatTree {
-            config,
-            thresholds,
-            roots,
-            inodes: Vec::with_capacity(m.saturating_sub(1)),
-            counters,
-            free_counters,
-            free_inodes: Vec::new(),
-            active_counters: root_count,
-            all_active,
+            thresholds: config.split_thresholds(),
+            counters: vec![Counter::default(); m],
+            table: LeafTable::new(config.max_levels() - 1, m),
+            free_counters: Vec::with_capacity(m - roots),
+            all_active: false,
             stats: SchemeStats::default(),
+            config,
         };
-        if all_active {
-            tree.latch_all_thresholds();
-        }
+        tree.plant();
         tree
+    }
+
+    /// Plants the pre-split tree in the arrays `new` sized: the roots are
+    /// counters `0..2^{λ−1}`, and the free counters pop in ascending order.
+    fn plant(&mut self) {
+        let root_depth = self.root_depth();
+        let roots = 1usize << root_depth;
+        let root_cells = 1u32 << (self.top() - u32::from(root_depth));
+        self.counters.fill(Counter::default());
+        self.counters[..roots].fill(Counter {
+            value: 0,
+            tli: root_depth,
+            depth: root_depth,
+            active: true,
+        });
+        self.table
+            .fill((0..roots).map(|g| (g as u32 * root_cells, g as u16)));
+        let m = self.counters.len();
+        self.free_counters.clear();
+        self.free_counters
+            .extend((roots..m).rev().map(|i| i as u16));
+        self.all_active = false;
+        if roots == m {
+            self.latch_all_thresholds();
+        }
     }
 
     /// The configuration this tree was built from.
@@ -130,21 +134,20 @@ impl CatTree {
         &self.thresholds
     }
 
-    /// Resident heap bytes of the tree's slabs (`I`, `C`, roots and free
-    /// lists). The slabs are deliberately dense: they hold at most `M`
-    /// (≤ 64 in every paper configuration) entries — the tree itself is
-    /// the compression, so bit-block storage would only add overhead.
+    /// Resident heap bytes of the tree's arrays (counters, leaf table and
+    /// free list). All of them are sized from the configuration when the
+    /// tree is built and never grow: the counter array holds `M` (≤ 64 in
+    /// every paper configuration) entries, and the leaf table's bitmap
+    /// `2^(L−1)` bits.
     pub fn heap_bytes(&self) -> usize {
-        self.roots.capacity() * std::mem::size_of::<NodeRef>()
-            + self.inodes.capacity() * std::mem::size_of::<INode>()
-            + self.counters.capacity() * std::mem::size_of::<Counter>()
+        self.counters.capacity() * std::mem::size_of::<Counter>()
+            + self.table.heap_bytes()
             + self.free_counters.capacity() * std::mem::size_of::<u16>()
-            + self.free_inodes.capacity() * std::mem::size_of::<u16>()
     }
 
     /// Number of currently active counters.
     pub fn active_counters(&self) -> usize {
-        self.active_counters
+        self.table.ids().len()
     }
 
     /// `true` once every counter has been activated (Algorithm 1 then
@@ -153,76 +156,55 @@ impl CatTree {
         self.all_active
     }
 
-    /// Bit of the row address that picks the root: the top `λ−1` bits
-    /// index the root table directly (§IV-C), so a root at depth `λ−1`
-    /// covers `2^root_bit` rows.
-    fn root_bit(&self) -> u32 {
-        self.config.rows().trailing_zeros() - (self.config.lambda() - 1)
+    /// The deepest level `L−1`. The leaf table's finest cells are the leaves
+    /// a tree of this depth could have: `2^(L−1)` of them.
+    fn top(&self) -> u32 {
+        self.config.max_levels() - 1
     }
 
-    /// The [`descend`] walk, also tracking the parent slot. Returns the
-    /// counter index and its row range `[lo, hi]`, derived from the leaf's
-    /// depth (`rows >> depth` rows, aligned on that span). Only refreshes
-    /// and splits need the range and the slot.
-    fn locate(&self, row: u32) -> (u16, u32, u32, ParentSlot) {
-        let mut bit = self.root_bit();
-        let g = row >> bit;
-        let mut slot = ParentSlot::Root(g);
-        let mut node = self.roots[g as usize];
-        while let NodeRef::Inode(i) = node {
-            bit -= 1;
-            (node, slot) = child(&self.inodes, i, row, bit);
-        }
-        // `bit` is now `log2 rows − depth`: the leaf spans `rows >> depth`.
-        let span = 1u32 << bit;
+    /// Depth `λ−1` of the pre-split roots.
+    fn root_depth(&self) -> u8 {
+        (self.config.lambda() - 1) as u8
+    }
+
+    /// Row-address bits below a finest cell: cell = `row >> cell_shift`.
+    fn cell_shift(&self) -> u32 {
+        self.config.rows().trailing_zeros() - self.top()
+    }
+
+    /// The counter covering `row` (the [`record_run`](Self::record_run)
+    /// lookup) with its position in the leaf table and its row range
+    /// `[lo, hi]`, derived from the leaf's depth (`rows >> depth` rows,
+    /// aligned on that span). Only refreshes and splits need the range.
+    fn locate(&self, row: u32) -> (usize, u16, u32, u32) {
+        let at = self.table.slot(row >> self.cell_shift());
+        let c = self.table.ids()[at];
+        let span = self.config.rows() >> self.counters[c as usize].depth;
         let lo = row & !(span - 1);
-        (node.index(), lo, lo + (span - 1), slot)
-    }
-
-    pub(crate) fn set_slot(&mut self, slot: ParentSlot, node: NodeRef) {
-        match slot {
-            ParentSlot::Root(g) => self.roots[g as usize] = node,
-            ParentSlot::Left(i) => self.inodes[i as usize].left = node,
-            ParentSlot::Right(i) => self.inodes[i as usize].right = node,
-        }
-    }
-
-    fn alloc_inode(&mut self, inode: INode) -> u16 {
-        if let Some(idx) = self.free_inodes.pop() {
-            self.inodes[idx as usize] = inode;
-            idx
-        } else {
-            let idx = self.inodes.len() as u16;
-            self.inodes.push(inode);
-            idx
-        }
+        (at, c, lo, lo + (span - 1))
     }
 
     fn latch_all_thresholds(&mut self) {
-        let top = (self.config.max_levels() - 1) as u8;
+        let top = self.top() as u8;
         for c in self.counters.iter_mut().filter(|c| c.active) {
             c.tli = top;
         }
         self.all_active = true;
     }
 
-    /// Splits leaf `c` (covering `[lo, hi]`, stored in `slot`): the left
-    /// half stays with `c`, the right half goes to a newly activated clone
-    /// (Algorithm 1 lines 15–22). Returns `(new counter, new intermediate
-    /// node)`, or `None` when no counter is free or the leaf is one row.
-    pub(crate) fn split_leaf(
-        &mut self,
-        c: u16,
-        lo: u32,
-        hi: u32,
-        slot: ParentSlot,
-    ) -> Option<(u16, u16)> {
-        if lo == hi {
+    /// Splits leaf `c` (at table position `at`, covering `[lo, hi]`): the
+    /// left half stays with `c`, the right half goes to a newly activated
+    /// clone (Algorithm 1 lines 15–22), which the table places at `at + 1`.
+    /// Returns the new counter, or `None` when no counter is free or the
+    /// leaf is at depth `L−1` — it then spans one finest cell, and a
+    /// one-row leaf is always there.
+    fn split_leaf(&mut self, c: u16, at: usize, lo: u32, hi: u32) -> Option<u16> {
+        let parent = self.counters[c as usize];
+        if u32::from(parent.depth) >= self.top() {
             return None;
         }
         let nc = self.free_counters.pop()?;
-        let parent = self.counters[c as usize];
-        let child_tli = (parent.tli + 1).min((self.config.max_levels() - 1) as u8);
+        let child_tli = (parent.tli + 1).min(self.top() as u8);
         self.counters[nc as usize] = Counter {
             value: parent.value,
             tli: child_tli,
@@ -231,18 +213,14 @@ impl CatTree {
         };
         self.counters[c as usize].tli = child_tli;
         self.counters[c as usize].depth = parent.depth + 1;
-        let inode = self.alloc_inode(INode {
-            left: NodeRef::Leaf(c),
-            right: NodeRef::Leaf(nc),
-        });
-        self.set_slot(slot, NodeRef::Inode(inode));
-        self.active_counters += 1;
+        let mid = lo + (hi - lo) / 2;
+        self.table.split(at, (mid + 1) >> self.cell_shift(), nc);
         self.stats.splits += 1;
         self.stats.sram_writes += 2; // new intermediate node + cloned counter
-        if self.active_counters == self.config.counters() {
+        if self.active_counters() == self.config.counters() {
             self.latch_all_thresholds();
         }
-        Some((nc, inode))
+        Some(nc)
     }
 
     /// Records one activation; the core of Algorithm 1's counter module plus
@@ -261,12 +239,12 @@ impl CatTree {
     /// every threshold. A caller replays a bank's run by calling again on
     /// the rows not yet consumed.
     ///
-    /// The tree arrays and the threshold table are borrowed once per call,
-    /// and the SRAM statistics are summed in locals and written back when
-    /// the run ends or reaches a threshold, so the common path of a long
-    /// run only walks the tree and bumps one counter per row. It is always
-    /// inlined so that `record`'s one-row call folds down to a plain
-    /// per-row path.
+    /// Each row's counter is a rank over the leaf table, so every load of a
+    /// lookup is addressed by the row alone and no lookup branches on the
+    /// tree's shape. The arrays and the threshold table are borrowed once
+    /// per call, and the SRAM statistics are summed in locals and written
+    /// back when the run ends or reaches a threshold. It is always inlined
+    /// so that `record`'s one-row call folds down to a plain per-row path.
     ///
     /// # Panics
     ///
@@ -275,12 +253,13 @@ impl CatTree {
     pub fn record_run(&mut self, rows: &[u32]) -> (usize, Activation) {
         assert!(!rows.is_empty(), "a run records at least one row");
         let bank_rows = self.config.rows();
-        let root_bit = self.root_bit();
+        let shift = self.cell_shift();
         let thresholds = self.thresholds.as_slice();
-        let (roots, inodes, counters) = (&self.roots[..], &self.inodes[..], &mut self.counters[..]);
+        let table = &self.table;
+        let (ids, counters) = (table.ids(), &mut self.counters[..]);
         let mut consumed = 0usize;
         let mut hit = false;
-        let mut visits = 0u64;
+        let mut depths = 0u64;
         let mut max_depth = self.stats.max_depth_touched;
         let mut last = 0u16;
         for &row in rows {
@@ -289,9 +268,9 @@ impl CatTree {
                 "row {row} out of range (bank has {bank_rows} rows)"
             );
             consumed += 1;
-            let (c, v) = descend(roots, inodes, root_bit, row);
-            visits += u64::from(v);
+            let c = ids[table.slot(row >> shift)];
             let counter = &mut counters[c as usize];
+            depths += u64::from(counter.depth);
             max_depth = max_depth.max(u64::from(counter.depth));
             counter.value += 1;
             last = c;
@@ -300,11 +279,12 @@ impl CatTree {
                 break;
             }
         }
-        // One read per traversed intermediate node plus the counter
-        // read-modify-write, per row.
+        // Per row, one read per intermediate node the §IV-C walk traverses
+        // (the leaf's depth below the roots, `depth − (λ−1)`) plus the
+        // counter read-modify-write.
         let n = consumed as u64;
         self.stats.activations += n;
-        self.stats.sram_reads += visits + n;
+        self.stats.sram_reads += depths - n * u64::from(self.root_depth()) + n;
         self.stats.sram_writes += n;
         self.stats.max_depth_touched = max_depth;
         let activation = if hit {
@@ -325,7 +305,7 @@ impl CatTree {
     #[inline(never)]
     fn on_threshold(&mut self, row: u32) -> Activation {
         let rows = self.config.rows();
-        let (mut c, mut lo, mut hi, mut slot) = self.locate(row);
+        let (mut at, mut c, mut lo, mut hi) = self.locate(row);
         loop {
             let counter = self.counters[c as usize];
             let threshold = self.thresholds.threshold_for_level(u32::from(counter.tli));
@@ -335,7 +315,7 @@ impl CatTree {
                     counter: c,
                 };
             }
-            let top_level = counter.tli as u32 == self.config.max_levels() - 1;
+            let top_level = u32::from(counter.tli) == self.top();
             if top_level || threshold == self.thresholds.refresh_threshold() {
                 // Refresh the group plus its two adjacent victim rows.
                 self.counters[c as usize].value = 0;
@@ -350,91 +330,83 @@ impl CatTree {
             // Split threshold reached below the maximum level: activate a
             // clone (RCM). If no counter is free the tree is fully grown and
             // thresholds were latched to T, so the loop terminates above.
-            match self.split_leaf(c, lo, hi, slot) {
-                Some((nc, inode)) => {
+            match self.split_leaf(c, at, lo, hi) {
+                Some(nc) => {
                     // Descend into the half containing the activated row;
                     // the clone kept the parent's value, so a larger split
                     // threshold may already be met (cascade).
                     let mid = lo + (hi - lo) / 2;
                     if row <= mid {
                         hi = mid;
-                        slot = ParentSlot::Left(inode);
                     } else {
-                        lo = mid + 1;
-                        c = nc;
-                        slot = ParentSlot::Right(inode);
+                        (at, c, lo) = (at + 1, nc, mid + 1);
                     }
                 }
                 None => {
-                    // Cannot split further (single-row group): count up to T
-                    // at this level instead.
-                    self.counters[c as usize].tli = (self.config.max_levels() - 1) as u8;
+                    // Cannot split further (depth L−1): count up to T at
+                    // this level instead.
+                    self.counters[c as usize].tli = self.top() as u8;
                 }
             }
         }
     }
 
-    /// Depth-first search for an intermediate node whose two children are
-    /// both leaves with zero weight — a pair of cold sibling counters that
-    /// DRCAT may merge (§V-B step 1). The hot counter `exclude` is never
-    /// eligible. Returns `(slot of the inode, inode index, left leaf,
-    /// right leaf)`.
-    pub(crate) fn find_cold_pair(
-        &self,
-        weights: &[u8],
-        exclude: u16,
-    ) -> Option<(ParentSlot, u16, u16, u16)> {
-        let mut stack: Vec<(NodeRef, ParentSlot)> = self
-            .roots
-            .iter()
-            .enumerate()
-            .map(|(g, node)| (*node, ParentSlot::Root(g as u32)))
-            .collect();
-        while let Some((node, slot)) = stack.pop() {
-            if let NodeRef::Inode(i) = node {
-                let inode = self.inodes[i as usize];
-                if let Some((l, r)) = inode.both_leaves() {
-                    if l != exclude
-                        && r != exclude
-                        && weights[l as usize] == 0
-                        && weights[r as usize] == 0
-                    {
-                        return Some((slot, i, l, r));
-                    }
-                } else {
-                    stack.push((inode.left, ParentSlot::Left(i)));
-                    stack.push((inode.right, ParentSlot::Right(i)));
-                }
+    /// Finds two sibling leaves with zero weight — a pair of cold counters
+    /// that DRCAT may merge (§V-B step 1). The hot counter `exclude` is
+    /// never eligible. Siblings are adjacent leaves of one depth below the
+    /// roots whose left start is aligned to their parent's span; they are
+    /// scanned from the highest rows down, the order in which a right-first
+    /// depth-first search of the §IV-C tree meets them.
+    pub(crate) fn find_cold_pair(&self, weights: &[u8], exclude: u16) -> Option<ColdPair> {
+        let (top, root_depth) = (self.top(), self.root_depth());
+        let ids = self.table.ids();
+        let depth = |c: u16| self.counters[c as usize].depth;
+        let span = |d: u8| 1u64 << (top - u32::from(d));
+        // Where the leaf at `at + 1` starts, in finest cells.
+        let mut start = (1u64 << top) - span(depth(*ids.last()?));
+        for at in (0..ids.len() - 1).rev() {
+            let (left, right) = (ids[at], ids[at + 1]);
+            let d = depth(left);
+            let lo = start - span(d);
+            if d == depth(right)
+                && d > root_depth
+                && lo.is_multiple_of(2 * span(d))
+                && left != exclude
+                && right != exclude
+                && weights[left as usize] == 0
+                && weights[right as usize] == 0
+            {
+                return Some(ColdPair {
+                    at,
+                    cell: start as u32,
+                    left,
+                    right,
+                });
             }
+            start = lo;
         }
         None
     }
 
-    /// Merges the two cold sibling leaves below intermediate node `inode`:
-    /// the right leaf is promoted into the parent slot (as in Fig. 7, where
-    /// C5 is promoted and C2 released) carrying the *maximum* of the two
-    /// counter values — merging must never under-count any row in the
-    /// combined group. Returns the released counter index.
-    pub(crate) fn merge_pair(
-        &mut self,
-        slot: ParentSlot,
-        inode: u16,
-        left: u16,
-        right: u16,
-    ) -> u16 {
-        debug_assert_eq!(
-            self.inodes[inode as usize].both_leaves(),
-            Some((left, right))
-        );
+    /// Merges two cold sibling leaves: the right leaf takes over the parent
+    /// (as in Fig. 7, where C5 is promoted and C2 released) carrying the
+    /// *maximum* of the two counter values — merging must never under-count
+    /// any row in the combined group. Returns the released (left) counter.
+    pub(crate) fn merge_pair(&mut self, pair: ColdPair) -> u16 {
+        let ColdPair {
+            at,
+            cell,
+            left,
+            right,
+        } = pair;
+        debug_assert_eq!(self.table.ids()[at..at + 2], [left, right]);
         let lv = self.counters[left as usize].value;
         let rv = self.counters[right as usize].value;
         self.counters[right as usize].value = lv.max(rv);
         self.counters[right as usize].depth -= 1;
         self.counters[left as usize] = Counter::default();
-        self.set_slot(slot, NodeRef::Leaf(right));
-        self.free_inodes.push(inode);
+        self.table.merge(at, cell);
         self.free_counters.push(left);
-        self.active_counters -= 1;
         self.stats.merges += 1;
         self.stats.sram_writes += 2;
         left
@@ -442,19 +414,15 @@ impl CatTree {
 
     /// Splits the (hot) leaf covering `row` using a previously released
     /// counter (§V-B step 2). Fails when the leaf is already at the maximum
-    /// level, covers a single row, or no counter is free. Returns the new
-    /// counter index.
+    /// level or no counter is free. Returns the new counter index.
     pub(crate) fn split_hot(&mut self, row: u32) -> Option<u16> {
-        let (c, lo, hi, slot) = self.locate(row);
-        if u32::from(self.counters[c as usize].depth) + 1 > self.config.max_levels() - 1 {
-            return None;
-        }
+        let (at, c, lo, hi) = self.locate(row);
         let was_tli = self.counters[c as usize].tli;
-        let (nc, _) = self.split_leaf(c, lo, hi, slot)?;
+        let nc = self.split_leaf(c, at, lo, hi)?;
         // Reconfiguration happens on the fully grown tree: thresholds stay
         // latched at L−1 rather than following the depth.
         let tli = if self.all_active {
-            (self.config.max_levels() - 1) as u8
+            self.top() as u8
         } else {
             was_tli
         };
@@ -464,11 +432,9 @@ impl CatTree {
     }
 
     /// Resets the tree to its initial pre-split state (used by PRCAT at
-    /// every auto-refresh epoch). Statistics are preserved.
+    /// every auto-refresh epoch), in place. Statistics are preserved.
     pub fn reset(&mut self) {
-        let stats = self.stats;
-        *self = CatTree::new(self.config.clone());
-        self.stats = stats;
+        self.plant();
     }
 
     /// Zeroes every active counter value but keeps the tree structure
@@ -486,6 +452,17 @@ impl CatTree {
         counter.active.then_some(counter.value)
     }
 
+    /// The counter that an activation of `row` counts on — the lookup of
+    /// [`record_run`](Self::record_run), without recording anything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is outside the bank.
+    pub fn counter_of(&self, row: RowId) -> u16 {
+        assert!(row.0 < self.config.rows(), "row {} out of range", row.0);
+        self.locate(row.0).1
+    }
+
     /// Snapshot of the tree shape (leaf ranges and depths), ordered by row.
     pub fn shape(&self) -> TreeShape {
         shape::collect(self)
@@ -496,20 +473,14 @@ impl CatTree {
     }
 
     /// Appends the tree's complete mutable state for checkpointing: stats,
-    /// the node arrays `I` and `C`, the root table, both free lists (whose
-    /// pop/push *order* determines future allocations, so they round-trip
-    /// verbatim), and the growth latch.
+    /// the growth latch, the counter array `C`, the leaf-order counter ids,
+    /// and the free list (whose pop *order* determines future allocations,
+    /// so it round-trips verbatim). The leaf-start bitmap is not written:
+    /// each leaf starts where the one before it ends, and spans
+    /// `2^(L−1−depth)` cells.
     pub fn save_state(&self, out: &mut Vec<u64>) {
         self.stats.save_state(out);
-        out.push(self.active_counters as u64);
         out.push(u64::from(self.all_active));
-        out.push(self.roots.len() as u64);
-        out.extend(self.roots.iter().map(|&n| pack_node(n)));
-        out.push(self.inodes.len() as u64);
-        for inode in &self.inodes {
-            out.push(pack_node(inode.left));
-            out.push(pack_node(inode.right));
-        }
         out.push(self.counters.len() as u64);
         for c in &self.counters {
             out.push(
@@ -519,19 +490,22 @@ impl CatTree {
                     | u64::from(c.active) << 48,
             );
         }
+        let ids = self.table.ids();
+        out.push(ids.len() as u64);
+        out.extend(ids.iter().map(|&c| u64::from(c)));
         out.push(self.free_counters.len() as u64);
         out.extend(self.free_counters.iter().map(|&i| u64::from(i)));
-        out.push(self.free_inodes.len() as u64);
-        out.extend(self.free_inodes.iter().map(|&i| u64::from(i)));
     }
 
     /// Restores state captured by [`CatTree::save_state`] onto a freshly
     /// built tree of the same configuration.
     ///
-    /// Every structural invariant is revalidated: index bounds, the active
-    /// count against the counter flags, the shape (one walk from the roots),
-    /// free-list sizes against the active count, and entry distinctness —
-    /// a corrupted stream cannot produce a silently inconsistent tree.
+    /// Every structural invariant is revalidated: index bounds, the leaf
+    /// count against the active flags, the growth latch, the partition (the
+    /// leaves, each an active counter listed once, tile the bank without a
+    /// gap or an overrun, each starting on a multiple of its depth's span),
+    /// and the free list (exactly the inactive counters, each once) — a
+    /// corrupted stream cannot produce a silently inconsistent tree.
     ///
     /// # Errors
     ///
@@ -539,53 +513,13 @@ impl CatTree {
     /// tree is then partially restored and must be discarded.
     pub fn restore_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let m = self.counters.len();
-        let root_count = self.roots.len();
-        let top = (self.config.max_levels() - 1) as u8;
+        let (top, root_depth) = (self.top(), self.root_depth());
         self.stats.restore_state(r)?;
-        let active_counters = r.next_word()? as usize;
-        if !(root_count..=m).contains(&active_counters) {
-            return Err(StateError::Invalid("tree active counter count"));
-        }
         let all_active = r.next_bool()?;
-        // The latch is sticky: it fires when the tree first becomes fully
-        // grown and survives later merges, so only the forward implication
-        // can be checked.
-        if active_counters == m && !all_active {
-            return Err(StateError::Invalid("tree growth latch"));
-        }
-        if r.next_word()? != root_count as u64 {
-            return Err(StateError::Invalid("tree root count"));
-        }
-        // The arrays are refilled in place: clear + push within the
-        // capacities `new()` established keeps `heap_bytes` bit-equal with
-        // a never-checkpointed tree. The inode count arrives after the
-        // roots, so root references are bounded by the largest count first
-        // and by the real one once it is read.
-        self.roots.clear();
-        for _ in 0..root_count {
-            self.roots.push(unpack_node(r.next_word()?, m, m - 1)?);
-        }
-        let inode_len = r.next_word()? as usize;
-        if inode_len > m - 1 {
-            return Err(StateError::Invalid("tree inode count"));
-        }
-        if self
-            .roots
-            .iter()
-            .any(|n| !n.is_leaf() && usize::from(n.index()) >= inode_len)
-        {
-            return Err(StateError::Invalid("tree inode index out of range"));
-        }
-        self.inodes.clear();
-        for _ in 0..inode_len {
-            let left = unpack_node(r.next_word()?, m, inode_len)?;
-            let right = unpack_node(r.next_word()?, m, inode_len)?;
-            self.inodes.push(INode { left, right });
-        }
         if r.next_word()? != m as u64 {
             return Err(StateError::Invalid("tree counter count"));
         }
-        let mut active_seen = 0usize;
+        let mut active = 0usize;
         for counter in &mut self.counters {
             let w = r.next_word()?;
             if w >> 49 != 0 {
@@ -597,47 +531,65 @@ impl CatTree {
                 depth: (w >> 40) as u8,
                 active: (w >> 48) & 1 == 1,
             };
-            if counter.tli > top || counter.depth > top {
+            if u32::from(counter.tli) > top || u32::from(counter.depth) > top {
                 return Err(StateError::Invalid("tree counter level out of range"));
             }
-            active_seen += usize::from(counter.active);
+            active += usize::from(counter.active);
         }
-        if active_seen != active_counters {
-            return Err(StateError::Invalid("tree active flags vs count"));
+        // The latch is sticky: it fires when the tree first becomes fully
+        // grown and survives later merges, so only the forward implication
+        // can be checked.
+        if active == m && !all_active {
+            return Err(StateError::Invalid("tree growth latch"));
         }
-        // One mark per counter, then one per inode. The shape walk marks
-        // every node it reaches; each free-list entry must be unmarked.
-        let mut seen = vec![false; m + inode_len];
-        let root_depth = (self.config.lambda() - 1) as u8;
-        let leaves = walk_shape(
-            &self.roots,
-            root_depth,
-            top,
-            &self.counters,
-            &self.inodes,
-            &mut seen,
-        )?;
-        if leaves != active_counters {
-            return Err(StateError::Invalid("tree leaf count vs active"));
+        if r.next_word()? != active as u64 {
+            return Err(StateError::Invalid("tree leaf count vs active flags"));
         }
-        // The walk reached `active_counters` distinct active leaves, so the
-        // unmarked counters are exactly the inactive ones. Each reached inode
-        // adds one leaf to its root's, so `active − roots` inodes are live.
-        let (seen_counters, seen_inodes) = seen.split_at_mut(m);
-        read_free_list(
-            r,
-            m - active_counters,
-            seen_counters,
-            &mut self.free_counters,
-        )?;
-        let live_inodes = active_counters - root_count;
-        read_free_list(
-            r,
-            inode_len - live_inodes,
-            seen_inodes,
-            &mut self.free_inodes,
-        )?;
-        self.active_counters = active_counters;
+        // The partition, read straight into the table `new` sized. Each
+        // leaf starts where the one before ends; listed ids are marked in
+        // `seen`.
+        let mut seen = vec![false; m];
+        let total = 1u64 << top;
+        let mut start = 0u64;
+        let counters = &self.counters;
+        let mut next_leaf = || {
+            let c = r.next_u16()?;
+            let Some(listed) = seen.get_mut(usize::from(c)) else {
+                return Err(StateError::Invalid("tree leaf id out of range"));
+            };
+            if std::mem::replace(listed, true) {
+                return Err(StateError::Invalid("tree leaf id listed twice"));
+            }
+            let counter = counters[usize::from(c)];
+            if !counter.active {
+                return Err(StateError::Invalid("tree leaf id inactive"));
+            }
+            if counter.depth < root_depth {
+                return Err(StateError::Invalid("tree leaf above the pre-split roots"));
+            }
+            if start >= total {
+                return Err(StateError::Invalid("tree leaves overrun the bank"));
+            }
+            let span = 1u64 << (top - u32::from(counter.depth));
+            if !start.is_multiple_of(span) {
+                return Err(StateError::Invalid(
+                    "tree leaf start misaligned to its depth",
+                ));
+            }
+            let cell = start as u32;
+            start += span;
+            Ok((cell, c))
+        };
+        let mut refused = Ok(());
+        self.table
+            .fill((0..active).map_while(|_| next_leaf().map_err(|e| refused = Err(e)).ok()));
+        refused?;
+        if start != total {
+            return Err(StateError::Invalid("tree leaves leave a gap"));
+        }
+        // The listed ids are exactly the active counters, so each free-list
+        // entry must be an unmarked (inactive) one.
+        read_free_list(r, m - active, &mut seen, &mut self.free_counters)?;
         self.all_active = all_active;
         Ok(())
     }
@@ -656,120 +608,6 @@ impl CatTree {
     pub(crate) fn hardware_as(&self, kind: SchemeKind) -> HardwareProfile {
         self.profile(kind)
     }
-}
-
-/// One step of the §IV-C descent: from inode `i`, whose children each
-/// cover `2^bit` rows, the child on `row`'s side of bit `bit` and the slot
-/// it sits in.
-#[inline(always)]
-fn child(inodes: &[INode], i: u16, row: u32, bit: u32) -> (NodeRef, ParentSlot) {
-    let inode = &inodes[i as usize];
-    if row >> bit & 1 == 0 {
-        (inode.left, ParentSlot::Left(i))
-    } else {
-        (inode.right, ParentSlot::Right(i))
-    }
-}
-
-/// Counter-only walk to the leaf covering `row`: the root by the address
-/// bits above `root_bit`, then one address bit per intermediate node.
-/// Returns the counter index and the number of intermediate nodes read.
-#[inline(always)]
-fn descend(roots: &[NodeRef], inodes: &[INode], root_bit: u32, row: u32) -> (u16, u32) {
-    let mut bit = root_bit;
-    let mut node = roots[(row >> bit) as usize];
-    let mut visits = 0u32;
-    while let NodeRef::Inode(i) = node {
-        visits += 1;
-        bit -= 1;
-        node = child(inodes, i, row, bit).0;
-    }
-    (node.index(), visits)
-}
-
-/// Packs a node reference as `tag << 16 | index` (tag 1 = leaf).
-fn pack_node(n: NodeRef) -> u64 {
-    u64::from(n.is_leaf()) << 16 | u64::from(n.index())
-}
-
-/// Unpacks and bounds-checks a node reference against the counter and
-/// intermediate-node array sizes.
-fn unpack_node(w: u64, counters: usize, inodes: usize) -> Result<NodeRef, StateError> {
-    if w >> 17 != 0 {
-        return Err(StateError::Invalid("tree node reference stray bits"));
-    }
-    let idx = (w & 0xffff) as u16;
-    if w >> 16 == 1 {
-        if (idx as usize) < counters {
-            Ok(NodeRef::Leaf(idx))
-        } else {
-            Err(StateError::Invalid("tree leaf index out of range"))
-        }
-    } else if (idx as usize) < inodes {
-        Ok(NodeRef::Inode(idx))
-    } else {
-        Err(StateError::Invalid("tree inode index out of range"))
-    }
-}
-
-/// Walks the trees under `roots` (at depth `root_depth`), marking what it
-/// reaches in `seen` (counters first, then inodes), and returns the leaf
-/// count. Every inode must sit above depth `top` (L−1) and be reached
-/// once, so cycles and shared subtrees are refused. Every leaf must be an
-/// active counter, reached once, whose `depth` field is its depth in the
-/// tree.
-fn walk_shape(
-    roots: &[NodeRef],
-    root_depth: u8,
-    top: u8,
-    counters: &[Counter],
-    inodes: &[INode],
-    seen: &mut [bool],
-) -> Result<usize, StateError> {
-    // Right subtrees still to visit: one per inode on the current path,
-    // which holds fewer than `top` ≤ 31 of them.
-    let mut pending = [(NodeRef::Leaf(0), 0u8); 32];
-    let mut leaves = 0;
-    for &root in roots {
-        let (mut node, mut depth) = (root, root_depth);
-        let mut len = 0;
-        loop {
-            match node {
-                NodeRef::Inode(i) => {
-                    if depth >= top {
-                        return Err(StateError::Invalid("tree inode at or below depth L-1"));
-                    }
-                    if std::mem::replace(&mut seen[counters.len() + i as usize], true) {
-                        return Err(StateError::Invalid("tree inode reached twice"));
-                    }
-                    let inode = inodes[i as usize];
-                    depth += 1;
-                    pending[len] = (inode.right, depth);
-                    len += 1;
-                    node = inode.left;
-                    continue;
-                }
-                NodeRef::Leaf(c) => {
-                    let counter = counters[c as usize];
-                    if !counter.active || counter.depth != depth {
-                        return Err(StateError::Invalid(
-                            "tree leaf inactive or at the wrong depth",
-                        ));
-                    }
-                    if std::mem::replace(&mut seen[c as usize], true) {
-                        return Err(StateError::Invalid("tree leaf reached twice"));
-                    }
-                    leaves += 1;
-                }
-            }
-            if len == 0 {
-                break;
-            }
-            len -= 1;
-            (node, depth) = pending[len];
-        }
-    }
-    Ok(leaves)
 }
 
 /// Reads a free list of exactly `expect` entries into `list`, each indexing
@@ -1015,10 +853,11 @@ mod tests {
         let mut tree = CatTree::new(figure5_cfg());
         tests_build_full(&mut tree);
         let weights = vec![0u8; 8];
-        let (slot, inode, l, r) = tree
+        let pair = tree
             .find_cold_pair(&weights, u16::MAX)
             .expect("a sibling leaf pair must exist in a full tree");
-        let freed = tree.merge_pair(slot, inode, l, r);
+        let freed = tree.merge_pair(pair);
+        assert_eq!(freed, pair.left);
         assert!(tree.shape().is_partition(32));
         assert_eq!(tree.active_counters(), 7);
         // The freed counter is reused by the next hot split.
@@ -1082,8 +921,8 @@ mod tests {
         let mut tree = CatTree::new(figure5_cfg());
         tests_build_full(&mut tree);
         let weights = vec![0u8; 8];
-        let (slot, inode, l, rr) = tree.find_cold_pair(&weights, u16::MAX).unwrap();
-        tree.merge_pair(slot, inode, l, rr);
+        let pair = tree.find_cold_pair(&weights, u16::MAX).unwrap();
+        tree.merge_pair(pair);
         let mut words = Vec::new();
         tree.save_state(&mut words);
         let mut fresh = CatTree::new(figure5_cfg());
@@ -1124,12 +963,12 @@ mod tests {
                 .or_else(|| r.finish().err().map(|_| ()));
             assert!(outcome.is_some(), "truncation to {len} words must error");
         }
-        // Corrupting the active-counter count (word 12, right after the
-        // stats block) breaks either the growth latch or the flag count
-        // consistency check.
+        // Corrupting the leaf count (after the stats block, the growth
+        // latch and the counters) breaks its match with the active flags.
+        let leaf_count = SchemeStats::FIELDS.len() + 2 + tree.counters.len();
         for delta in [1u64, 7] {
             let mut bad = words.clone();
-            bad[12] = bad[12].wrapping_add(delta);
+            bad[leaf_count] = bad[leaf_count].wrapping_add(delta);
             let mut fresh = CatTree::new(small_cfg());
             let mut r = crate::state::StateReader::new(&bad);
             assert!(fresh.restore_state(&mut r).is_err());
@@ -1142,39 +981,84 @@ mod tests {
         for _ in 0..600 {
             tree.record(RowId(10));
         }
+        while !tree.fully_grown() {
+            tree.record(RowId(1023));
+        }
+        // Row 10's splits carved up the first root and row 1023's one
+        // split halved the last: roots 1 and 2 are untouched.
+        assert_eq!(tree.shape().depth_profile(), vec![5, 5, 4, 3, 2, 2, 3, 3]);
         let mut words = Vec::new();
         tree.save_state(&mut words);
-        // Word layout: stats, active count, latch, root count, roots, inode
-        // count, inode pairs, counter count, counters, free lists.
-        let roots_at = SchemeStats::FIELDS.len() + 3;
-        let inode0 = roots_at + tree.roots.len() + 1;
-        let counters_at = inode0 + 2 * tree.inodes.len() + 1;
-        assert!(!tree.inodes.is_empty() && !tree.roots[0].is_leaf());
-        let refused = |forged: &[u64], why: &'static str| {
+        // Word layout: stats, growth latch, counter count, counters (depth
+        // in bits 40..48), leaf count, leaf ids, free list.
+        let counters_at = SchemeStats::FIELDS.len() + 2;
+        let depth_of = |c: u16| counters_at + usize::from(c);
+        let count_at = counters_at + tree.counters.len();
+        let ids_at = count_at + 1;
+        let n = tree.active_counters();
+        let ids = tree.table.ids().to_vec();
+        let forge = |edit: &dyn Fn(&mut Vec<u64>)| {
+            let mut forged = words.clone();
+            edit(&mut forged);
+            forged
+        };
+        let refused = |forged: Vec<u64>, why: &'static str| {
             let mut fresh = CatTree::new(small_cfg());
-            let mut r = crate::state::StateReader::new(forged);
+            let mut r = crate::state::StateReader::new(&forged);
             assert_eq!(fresh.restore_state(&mut r), Err(StateError::Invalid(why)));
         };
+        let one_level = 1u64 << 40;
 
-        // A cycle: both children of inode 0 point back at inode 0. Every
-        // count and free list still checks out.
-        let mut cyclic = words.clone();
-        cyclic[inode0] = pack_node(NodeRef::Inode(0));
-        cyclic[inode0 + 1] = pack_node(NodeRef::Inode(0));
-        refused(&cyclic, "tree inode reached twice");
-
-        // A shared subtree: root 1 points at root 0's inode.
-        let mut shared = words.clone();
-        shared[roots_at + 1] = shared[roots_at];
-        refused(&shared, "tree inode reached twice");
-
-        // A leaf whose depth field disagrees with its place in the tree.
-        let NodeRef::Leaf(c) = tree.roots[1] else {
-            panic!("root 1 is an untouched pre-split leaf")
-        };
-        let mut deep = words.clone();
-        deep[counters_at + c as usize] += 1 << 40;
-        refused(&deep, "tree leaf inactive or at the wrong depth");
+        // A gap: the last leaf one level deeper ends half its span short
+        // of the bank end.
+        refused(
+            forge(&|w| w[depth_of(ids[n - 1])] += one_level),
+            "tree leaves leave a gap",
+        );
+        // An overlap: the second-to-last leaf one level shallower also
+        // covers the last leaf's rows, which then start past the bank.
+        refused(
+            forge(&|w| w[depth_of(ids[n - 2])] -= one_level),
+            "tree leaves overrun the bank",
+        );
+        // A misaligned start: the last leaf listed first pushes the deep
+        // leaves off their alignment.
+        refused(
+            forge(&|w| w.swap(ids_at, ids_at + n - 1)),
+            "tree leaf start misaligned to its depth",
+        );
+        // A start that disagrees with the counter's depth: root 1 one
+        // level deeper puts root 2's start in the middle of a root.
+        refused(
+            forge(&|w| w[depth_of(ids[4])] += one_level),
+            "tree leaf start misaligned to its depth",
+        );
+        // A leaf above the pre-split roots would straddle two of them.
+        refused(
+            forge(&|w| w[depth_of(ids[0])] &= !(0xff << 40)),
+            "tree leaf above the pre-split roots",
+        );
+        refused(
+            forge(&|w| w[ids_at + 1] = w[ids_at]),
+            "tree leaf id listed twice",
+        );
+        refused(forge(&|w| w[ids_at + 1] = 8), "tree leaf id out of range");
+        // An inactive id: a released counter in place of a leaf.
+        let mut merged = tree.clone();
+        let pair = merged.find_cold_pair(&[0; 8], u16::MAX).unwrap();
+        let released = merged.merge_pair(pair);
+        let mut image = Vec::new();
+        merged.save_state(&mut image);
+        image[ids_at + 1] = u64::from(released);
+        refused(image, "tree leaf id inactive");
+        // One id fewer than there are active counters.
+        refused(
+            forge(&|w| {
+                w.remove(ids_at + n - 1);
+                w[count_at] -= 1;
+            }),
+            "tree leaf count vs active flags",
+        );
 
         let mut fresh = CatTree::new(small_cfg());
         fresh
@@ -1183,10 +1067,9 @@ mod tests {
     }
 
     /// Every row of trees grown over the differential grid's dimensions,
-    /// including DRCAT trees reshaped by merges: the counter-only descent
-    /// charges the `shape()` leaf covering the row after `depth − (λ−1)`
-    /// inode reads, and `locate` derives that leaf's range and the slot
-    /// holding it.
+    /// including DRCAT trees reshaped by merges: the table lookup charges
+    /// the `shape()` leaf covering the row, and `locate` derives that
+    /// leaf's range and its table position.
     #[test]
     fn descent_and_locate_agree_with_the_shape() {
         use cat_prng::rngs::StdRng;
@@ -1234,24 +1117,16 @@ mod tests {
     }
 
     fn check_lookups(tree: &CatTree) {
-        let root_depth = tree.config().lambda() - 1;
-        for leaf in tree.shape().leaves() {
+        let shape = tree.shape();
+        assert!(shape.is_partition(tree.config().rows()));
+        for (at, leaf) in shape.leaves().iter().enumerate() {
             for row in leaf.range.lo()..=leaf.range.hi() {
-                let (c, visits) = descend(&tree.roots, &tree.inodes, tree.root_bit(), row);
-                assert_eq!(c, leaf.counter, "row {row}");
-                assert_eq!(visits + root_depth, u32::from(leaf.depth), "row {row}");
-                let (c, lo, hi, slot) = tree.locate(row);
+                assert_eq!(tree.counter_of(RowId(row)), leaf.counter, "row {row}");
                 assert_eq!(
-                    (c, lo, hi),
-                    (leaf.counter, leaf.range.lo(), leaf.range.hi()),
+                    tree.locate(row),
+                    (at, leaf.counter, leaf.range.lo(), leaf.range.hi()),
                     "row {row}"
                 );
-                let held = match slot {
-                    ParentSlot::Root(g) => tree.roots[g as usize],
-                    ParentSlot::Left(i) => tree.inodes[i as usize].left,
-                    ParentSlot::Right(i) => tree.inodes[i as usize].right,
-                };
-                assert_eq!(held, NodeRef::Leaf(c), "row {row}");
             }
         }
     }

@@ -1,7 +1,8 @@
-//! Differential and property-style tests: the SRAM pointer-chasing CAT of
-//! §IV-C must be observationally identical to the naive Algorithm-1
-//! implementation with explicit range registers, on many access sequences
-//! and configurations; and core invariants must hold throughout.
+//! Differential and property-style tests: the CAT, which holds §IV-C's
+//! tree as a leaf table, must be observationally identical to the naive
+//! Algorithm-1 implementation with explicit range registers, on many
+//! access sequences and configurations; and core invariants must hold
+//! throughout.
 //!
 //! Formerly `proptest`-based; the workspace builds offline with no external
 //! crates, so the random exploration is now a *deterministic* sweep: a
@@ -12,7 +13,11 @@
 //! config and seed of the failing case.
 
 use cat_core::tree::reference::ReferenceCat;
-use cat_core::{CatConfig, CatTree, Drcat, MitigationScheme, Prcat, RowId, ThresholdPolicy};
+use cat_core::tree::{LeafInfo, TreeShape};
+use cat_core::{
+    CatConfig, CatTree, Drcat, MitigationScheme, Prcat, RowId, StateError, StateReader,
+    ThresholdPolicy,
+};
 use cat_prng::rngs::StdRng;
 use cat_prng::{splitmix64, Rng, SeedableRng};
 
@@ -81,7 +86,7 @@ fn reference_tuples(cat: &ReferenceCat) -> Vec<(u32, u32, u32, u8)> {
         .collect()
 }
 
-/// The pointer tree and the reference implementation must agree on every
+/// The tree and the reference implementation must agree on every
 /// refresh decision and end in identical states.
 #[test]
 fn pointer_tree_equals_reference() {
@@ -525,4 +530,250 @@ fn run_kernel_equals_per_row_activations() {
         prcat_later_epochs > 0,
         "no PRCAT refresh after an epoch end"
     );
+}
+
+/// The differential grid at the paper's tree heights, L = 11 and L = 14:
+/// banks whose finest cell is one row or four, 16 or 64 counters, trees
+/// grown from the root or pre-split to `log2 M` levels, the three split
+/// policies in turn.
+fn tall_configs() -> Vec<CatConfig> {
+    let policies = [
+        ThresholdPolicy::PaperCurve,
+        ThresholdPolicy::Doubling,
+        ThresholdPolicy::Uniform,
+    ];
+    let mut out = Vec::new();
+    for levels in [11u32, 14] {
+        for rows in [1u32 << (levels - 1), 1 << (levels + 1)] {
+            for counters in [16usize, 64] {
+                for lambda in [1, counters.trailing_zeros()] {
+                    let cfg = CatConfig::new(rows, counters, levels, 64)
+                        .and_then(|c| c.with_lambda(lambda))
+                        .expect("tall grid configs are valid");
+                    out.push(cfg.with_policy(policies[out.len() % 3]));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A leaf as the differential compares it: rows, value, split level.
+type LeafTuple = (u32, u32, u32, u8);
+
+/// Every row of the bank must look up, through the tree's leaf table, the
+/// counter of the leaf `expect` (ascending, a partition of the bank) puts
+/// it in; and the tree's `shape()` must be a partition.
+fn check_table(tree: &CatTree, expect: &[LeafTuple], ctx: &str) {
+    let shape = tree.shape();
+    assert!(shape.is_partition(tree.config().rows()), "{ctx}");
+    let mut by_id = vec![None; tree.config().counters()];
+    for l in shape.leaves() {
+        by_id[usize::from(l.counter)] = Some((l.range.lo(), l.range.hi(), l.value, l.tli));
+    }
+    for &leaf in expect {
+        for row in leaf.0..=leaf.1 {
+            let got = by_id[usize::from(tree.counter_of(RowId(row)))];
+            assert_eq!(got, Some(leaf), "row {row} ({ctx})");
+        }
+    }
+}
+
+/// The pair DRCAT's §V-B step 1 merges, found as in the §IV-C pointer
+/// tree: depth first from the last root, right child before left, the
+/// first intermediate node whose children are two zero-weight leaves other
+/// than `hot`. Returns the (left, right) leaves.
+fn reference_cold_pair(
+    shape: &TreeShape,
+    lambda: u32,
+    weights: &[u8],
+    hot: u16,
+) -> Option<(LeafInfo, LeafInfo)> {
+    let leaf_at = |lo: u32, depth: u8| {
+        shape
+            .leaves()
+            .iter()
+            .find(|l| l.range.lo() == lo && l.depth == depth)
+            .copied()
+    };
+    fn visit(
+        leaf_at: &dyn Fn(u32, u8) -> Option<LeafInfo>,
+        eligible: &dyn Fn(&LeafInfo) -> bool,
+        lo: u32,
+        span: u32,
+        depth: u8,
+    ) -> Option<(LeafInfo, LeafInfo)> {
+        if leaf_at(lo, depth).is_some() {
+            return None;
+        }
+        let half = span / 2;
+        match (leaf_at(lo, depth + 1), leaf_at(lo + half, depth + 1)) {
+            (Some(l), Some(r)) => (eligible(&l) && eligible(&r)).then_some((l, r)),
+            _ => visit(leaf_at, eligible, lo + half, half, depth + 1)
+                .or_else(|| visit(leaf_at, eligible, lo, half, depth + 1)),
+        }
+    }
+    let eligible = |l: &LeafInfo| l.counter != hot && weights[usize::from(l.counter)] == 0;
+    let rows: u32 = shape.leaves().iter().map(|l| l.range.len() as u32).sum();
+    let span = rows >> (lambda - 1);
+    (0..1u32 << (lambda - 1))
+        .rev()
+        .find_map(|g| visit(&leaf_at, &eligible, g * span, span, (lambda - 1) as u8))
+}
+
+/// The checkpoint hooks of the CAT schemes, for the round trips below.
+trait Checkpointed {
+    fn save(&self, out: &mut Vec<u64>);
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError>;
+}
+
+macro_rules! checkpointed {
+    ($($scheme:ty),*) => {$(
+        impl Checkpointed for $scheme {
+            fn save(&self, out: &mut Vec<u64>) {
+                self.save_state(out)
+            }
+            fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+                self.restore_state(r)
+            }
+        }
+    )*};
+}
+checkpointed!(CatTree, Prcat, Drcat);
+
+/// `scheme`'s state saved and restored onto `fresh`.
+fn round_trip<S: Checkpointed>(scheme: &S, mut fresh: S) -> S {
+    let mut words = Vec::new();
+    scheme.save(&mut words);
+    let mut r = StateReader::new(&words);
+    fresh.restore(&mut r).expect("a saved state restores");
+    r.finish().expect("a restore reads every word");
+    fresh
+}
+
+/// The leaf table is the tree: over the tall grid, after every `on_run`
+/// (so after every split and merge it holds), epoch end and save/restore
+/// round trip, every row of the bank looks up the leaf the reference
+/// holds — `ReferenceCat` for CAT and PRCAT, which never merge, and the
+/// tree's own partition for DRCAT — and every DRCAT reconfiguration merges
+/// the pair a depth-first search of the pointer tree picks.
+#[test]
+fn leaf_table_lookup_equals_reference() {
+    const RUNS: [usize; 3] = [1, 7, 64];
+    let (mut merges_checked, mut round_trips) = (0, 0);
+    for (case, config) in tall_configs().into_iter().enumerate() {
+        let seed = case_seed(0x7000 ^ case);
+        let trace = run_trace(config.rows(), seed);
+        let ctx = format!("case {case}, seed {seed:#x}, config {config:?}");
+
+        // CAT and PRCAT in lockstep with the reference, which PRCAT's
+        // epoch end rebuilds. Runs of 1, 7 and 64 rows in turn.
+        let mut cat = CatTree::new(config.clone());
+        let mut prcat = Prcat::new(config.clone());
+        let mut reference = ReferenceCat::new(config.clone());
+        let mut prcat_reference = ReferenceCat::new(config.clone());
+        for (k, segment) in trace.chunks(RUN_EPOCH).enumerate() {
+            if k > 0 {
+                prcat.on_epoch_end();
+                prcat_reference = ReferenceCat::new(config.clone());
+                let at = format!("epoch {k} ({ctx})");
+                check_table(prcat.tree(), &reference_tuples(&prcat_reference), &at);
+                cat = round_trip(&cat, CatTree::new(config.clone()));
+                prcat = round_trip(&prcat, Prcat::new(config.clone()));
+                round_trips += 1;
+                check_table(&cat, &reference_tuples(&reference), &at);
+                check_table(prcat.tree(), &reference_tuples(&prcat_reference), &at);
+            }
+            let mut at = 0;
+            for run in RUNS.iter().cycle() {
+                if at == segment.len() {
+                    break;
+                }
+                let rows = &segment[at..segment.len().min(at + run)];
+                at += rows.len();
+                cat.on_run(rows);
+                prcat.on_run(rows);
+                for &row in rows {
+                    reference.record(RowId(row));
+                    prcat_reference.record(RowId(row));
+                }
+                let at = format!("epoch {k}, row {at} ({ctx})");
+                check_table(&cat, &reference_tuples(&reference), &at);
+                check_table(prcat.tree(), &reference_tuples(&prcat_reference), &at);
+            }
+        }
+
+        // DRCAT one row per `on_run`, so each reconfiguration can be
+        // predicted from the state before its row: the tree after the
+        // row's count (and any split), and the weights after the refresh
+        // event's update. Every row is checked whenever the shape changed:
+        // after a split, a merge, an epoch end and a round trip.
+        let mut drcat = Drcat::new(config.clone());
+        let top = config.max_levels() - 1;
+        for (i, &row) in trace.iter().enumerate() {
+            let at = format!("row {i} ({ctx})");
+            if i > 0 && i % RUN_EPOCH == 0 {
+                drcat.on_epoch_end();
+                check_table(drcat.tree(), &leaf_tuples(drcat.tree()), &at);
+                drcat = round_trip(&drcat, Drcat::new(config.clone()));
+                round_trips += 1;
+                check_table(drcat.tree(), &leaf_tuples(drcat.tree()), &at);
+            }
+            let mut counted = drcat.tree().clone();
+            let activation = counted.record(RowId(row));
+            let mut weights = drcat.weights().to_vec();
+            let (merges, splits) = (drcat.stats().merges, drcat.stats().splits);
+            drcat.on_run(&[row]);
+            if activation.refresh.is_none() {
+                assert_eq!(drcat.stats().merges, merges, "{at}");
+                if drcat.stats().splits > splits {
+                    check_table(drcat.tree(), &leaf_tuples(drcat.tree()), &at);
+                }
+                continue;
+            }
+            let hot = usize::from(activation.counter);
+            for (c, w) in weights.iter_mut().enumerate() {
+                *w = if c == hot {
+                    (*w + 1).min(3)
+                } else {
+                    w.saturating_sub(1)
+                };
+            }
+            let hot_depth = counted
+                .shape()
+                .leaves()
+                .iter()
+                .find(|l| usize::from(l.counter) == hot)
+                .map(|l| u32::from(l.depth))
+                .unwrap();
+            let want = (weights[hot] == 3 && hot_depth < top)
+                .then(|| {
+                    reference_cold_pair(&counted.shape(), config.lambda(), &weights, hot as u16)
+                })
+                .flatten();
+            assert_eq!(
+                drcat.stats().merges - merges,
+                u64::from(want.is_some()),
+                "{at}"
+            );
+            if let Some((left, right)) = want {
+                let merged = drcat
+                    .tree()
+                    .shape()
+                    .leaves()
+                    .iter()
+                    .find(|l| l.counter == right.counter)
+                    .map(|l| (l.range.lo(), l.range.hi(), l.depth));
+                assert_eq!(
+                    merged,
+                    Some((left.range.lo(), right.range.hi(), right.depth - 1)),
+                    "{at}"
+                );
+                merges_checked += 1;
+                check_table(drcat.tree(), &leaf_tuples(drcat.tree()), &at);
+            }
+        }
+    }
+    assert!(merges_checked > 0, "no DRCAT merge was checked");
+    assert!(round_trips > 0);
 }

@@ -62,7 +62,9 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"CATC";
 /// engine section's four counting-sort scratch capacities with the five
 /// capacities of the batch grouping (rows, runs, segments, keys, pairs),
 /// which the system section now also carries for its own grouping.
-pub const CHECKPOINT_VERSION: u16 = 4;
+/// Version 5 carries each CAT as its leaf-order counter ids instead of a
+/// root table, intermediate nodes and an intermediate-node free list.
+pub const CHECKPOINT_VERSION: u16 = 5;
 
 /// Hard cap on a checkpoint image/file size — bounds what [`resume_from_dir`]
 /// will read into memory.
@@ -1115,16 +1117,17 @@ mod tests {
 
     #[test]
     fn images_of_other_versions_are_refused() {
-        // A version-3 image carried four counting-sort scratch
-        // capacities per engine and none for the system grouping, and a
-        // version-2 one a system act_scratch capacity: a version-4 reader
-        // would misparse either. The header check refuses them with a
-        // typed error before any field is read, even under a valid seal.
+        // A version-4 image carried each tree as roots and inodes, a
+        // version-3 one four counting-sort scratch capacities per engine
+        // and none for the system grouping, and a version-2 one a system
+        // act_scratch capacity: a version-5 reader would misparse any of
+        // them. The header check refuses them with a typed error before
+        // any field is read, even under a valid seal.
         let mut original = fresh();
         original.process(&trace(2000));
         let image = original.checkpoint().unwrap();
         assert_eq!(&image[4..6], &CHECKPOINT_VERSION.to_le_bytes());
-        for version in [2u16, 3] {
+        for version in [2u16, 3, 4] {
             let mut image = image.clone();
             image[4..6].copy_from_slice(&version.to_le_bytes());
             let body_len = image.len() - 8;
@@ -1134,7 +1137,7 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
                 err.to_string()
-                    .contains(&format!("checkpoint version {version}, this build reads 4")),
+                    .contains(&format!("checkpoint version {version}, this build reads 5")),
                 "{err}"
             );
         }
@@ -1250,13 +1253,23 @@ mod tests {
     }
 
     #[test]
-    fn forged_cyclic_trees_are_refused() {
-        // Hammer one row of bank 0 so its tree has intermediate nodes, then
-        // point both children of inode 0 at inode 0 itself and reseal. The
-        // tree's shape walk must refuse the image; accepting it would hang
-        // (or underflow) the next activation's descent.
-        let mut original = fresh();
-        original.process(&vec![(0, 77); 4000]);
+    fn forged_tree_tables_are_refused() {
+        // Hammer row 77 of bank 0 until its first root is carved up, then,
+        // in the next epoch, the last row until the last root splits, so
+        // the leaf table ends in two sibling leaves below the roots. Bank 1 pads that epoch to its cut.
+        let hammered = |last: usize| {
+            let mut system = fresh();
+            system.process(&vec![(0, 77); 4000]);
+            let mut epoch = vec![(15, 0); 1000];
+            epoch[..last].fill((0, 4095));
+            system.process(&epoch);
+            system
+        };
+        let splits = hammered(0).stats().splits;
+        let original = (1..1000)
+            .map(hammered)
+            .find(|system| system.stats().splits > splits)
+            .unwrap();
         let image = original.checkpoint().unwrap();
         let body_len = image.len() - 8;
         let mut r = ByteReader::new(&image[..body_len]);
@@ -1270,32 +1283,88 @@ mod tests {
         assert_eq!(r.u64("materialized").unwrap(), 1);
         assert_eq!(r.u64("bank").unwrap(), 0);
         r.u64("state words").unwrap();
-        // Tree words: stats, active count, growth latch, root count, roots,
-        // inode count, then inode 0's (left, right).
+        // Scheme words: the scheme kind, then the tree's stats, growth
+        // latch, counter count, counters (depth in bits 40..48, active flag
+        // bit 48), leaf count and leaf ids.
         r.take(
-            8 * (cat_core::SchemeStats::FIELDS.len() + 2),
-            "stats, active, latch",
+            8 * (1 + cat_core::SchemeStats::FIELDS.len() + 1),
+            "kind, stats, latch",
         )
         .unwrap();
-        let roots = r.u64("root count").unwrap() as usize;
-        r.take(8 * roots, "roots").unwrap();
-        assert!(
-            r.u64("inode count").unwrap() > 0,
-            "the tree must have split"
-        );
-        let inode0 = body_len - r.remaining();
+        let m = r.u64("counter count").unwrap() as usize;
+        let counters_at = body_len - r.remaining();
+        r.take(8 * m, "counters").unwrap();
+        let n = r.u64("leaf count").unwrap() as usize;
+        let ids_at = body_len - r.remaining();
+        let ids: Vec<u64> = (0..n).map(|_| r.u64("leaf id").unwrap()).collect();
+        let counter_at = |c: u64| counters_at + 8 * c as usize;
+        let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+        let depths: Vec<u64> = ids
+            .iter()
+            .map(|&c| word(counter_at(c)) >> 40 & 0xff)
+            .collect();
+        // Root 0 (depth 5 of L = 11) split down to row 77's one-cell leaf,
+        // 30 untouched roots, and the last root's split.
+        assert_eq!(depths[..6], [6, 9, 10, 10, 8, 7]);
+        assert!(depths[6..n - 2].iter().all(|&d| d == 5));
+        assert_eq!(depths[n - 2..], [6, 6]);
+        let inactive = (0..m as u64).find(|c| !ids.contains(c)).unwrap();
 
-        let mut corrupt = image.clone();
-        // `Inode(0)` packs to the word 0 (tag 0, index 0).
-        corrupt[inode0..inode0 + 16].fill(0);
-        let h = fnv1a(&corrupt[..body_len]).to_le_bytes();
-        corrupt[body_len..].copy_from_slice(&h);
-        let err = fresh().restore(&corrupt).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string().contains("tree inode reached twice"),
-            "{err}"
-        );
+        let one_level = 1u64 << 40;
+        let forgeries = [
+            (
+                "a gap",
+                vec![(
+                    counter_at(ids[n - 1]),
+                    word(counter_at(ids[n - 1])) + one_level,
+                )],
+                "tree leaves leave a gap",
+            ),
+            (
+                "an overlap",
+                vec![(
+                    counter_at(ids[n - 2]),
+                    word(counter_at(ids[n - 2])) - one_level,
+                )],
+                "tree leaves overrun the bank",
+            ),
+            (
+                "a misaligned start",
+                vec![(ids_at, ids[1]), (ids_at + 8, ids[0])],
+                "tree leaf start misaligned to its depth",
+            ),
+            (
+                "a start that disagrees with the counter's depth",
+                vec![(counter_at(ids[6]), word(counter_at(ids[6])) + one_level)],
+                "tree leaf start misaligned to its depth",
+            ),
+            (
+                "a duplicate id",
+                vec![(ids_at + 8, ids[0])],
+                "tree leaf id listed twice",
+            ),
+            (
+                "an inactive id",
+                vec![(ids_at + 8, inactive)],
+                "tree leaf id inactive",
+            ),
+            (
+                "an id count other than the active count",
+                vec![(counter_at(inactive), word(counter_at(inactive)) | 1 << 48)],
+                "tree leaf count vs active flags",
+            ),
+        ];
+        for (forgery, edits, why) in forgeries {
+            let mut corrupt = image.clone();
+            for (at, value) in edits {
+                corrupt[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            let h = fnv1a(&corrupt[..body_len]).to_le_bytes();
+            corrupt[body_len..].copy_from_slice(&h);
+            let err = fresh().restore(&corrupt).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{forgery}");
+            assert!(err.to_string().contains(why), "{forgery}: {err}");
+        }
         // The untouched image still restores.
         fresh().restore(&image).unwrap();
     }

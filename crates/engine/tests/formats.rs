@@ -142,9 +142,9 @@ fn system_checkpoint_bytes() {
     let trace: Vec<(u32, u32)> = (0..2000).map(|i| (i % 16, row(i))).collect();
     system.process(&trace);
     let image = system.checkpoint().unwrap();
-    // Magic, version 4, system scope, then the geometry.
-    assert_hex(&image[..31], &format!("43415443 0400 02 {GEOMETRY_HEX}"));
-    assert_eq!((image.len(), fnv1a(&image)), (28152, 0xcf39_21e9_f24d_3181));
+    // Magic, version 5, system scope, then the geometry.
+    assert_hex(&image[..31], &format!("43415443 0500 02 {GEOMETRY_HEX}"));
+    assert_eq!((image.len(), fnv1a(&image)), (27768, 0xc455_2a52_2d5e_bf70));
 }
 
 /// Polls until `path` holds exactly `len` bytes (the drain appends and
@@ -201,8 +201,8 @@ fn trace_log_bytes_through_serve() {
     let rotated = std::fs::read(&log_path).unwrap();
     assert_hex(&rotated, "4341544c 0200 0100000000000000 0100000000000000");
     let image = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
-    assert_eq!(&image[..7], b"CATC\x04\x00\x02");
-    assert_eq!((image.len(), fnv1a(&image)), (2112, 0x4110_afb6_7156_b525));
+    assert_eq!(&image[..7], b"CATC\x05\x00\x02");
+    assert_eq!((image.len(), fnv1a(&image)), (2088, 0xa47d_a553_b240_1d13));
 
     // Recovery from the final image, and from the mid-session log alone
     // (a crash before the final image), which replays the record and the
